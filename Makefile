@@ -111,7 +111,7 @@ metrics-smoke:
 	$(GO) test . -run TestMetricsEndToEnd -count=1 -v
 
 # Short fuzzing pass over the wire codec, including the ordered-mode
-# state-transfer frames (StateRequest/StateChunk) on both codecs.
+# state-transfer frames (StateRequest/StateChunk).
 fuzz:
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 20s
 	$(GO) test ./internal/transport -run '^$$' -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 20s

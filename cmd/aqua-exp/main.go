@@ -4,7 +4,7 @@
 // Usage:
 //
 //	aqua-exp -exp all            # every experiment
-//	aqua-exp -exp fig4           # one experiment: e0 fig3 fig4 fig5 a1..a18
+//	aqua-exp -exp fig4           # one experiment (aqua-exp -h lists the ids)
 //	aqua-exp -exp fig5 -csv      # machine-readable output
 //	aqua-exp -exp fig3 -quick    # reduced iteration counts
 package main
@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exp          = flag.String("exp", "all", "experiment id: e0, fig3, fig4, fig5, faults, v1, a1..a18, predict, throughput, or all")
+		exp          = flag.String("exp", "all", "experiment id: "+ids())
 		csv          = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		plot         = flag.Bool("plot", false, "also render ASCII charts for fig4/fig5")
 		quick        = flag.Bool("quick", false, "reduced iterations/runs for a fast pass")
@@ -84,212 +84,134 @@ func startMetricsDumper(every time.Duration) (stop func()) {
 	}
 }
 
+// benchmarkIDs time this host rather than the algorithm and write baseline
+// JSON, so they run only by id, never under "all".
+const benchmarkIDs = "predict, throughput"
+
+// ids lists every id -exp accepts.
+func ids() string {
+	var b strings.Builder
+	for _, e := range experiment.Experiments {
+		b.WriteString(e.ID + ", ")
+	}
+	return b.String() + benchmarkIDs + ", or all"
+}
+
 func run(exp string, csv, quick, plot bool, predictOut, tputOut, tputAgainst string) error {
 	emit := func(t *experiment.Table) error {
 		if csv {
-			return t.WriteCSV(os.Stdout)
-		}
-		if err := t.WriteText(os.Stdout); err != nil {
-			return err
-		}
-		_, err := fmt.Println()
-		return err
-	}
-
-	runners := map[string]func() error{
-		"e0": func() error {
-			cfg := experiment.DefaultE0Config()
-			if quick {
-				cfg.Requests = 50
-			}
-			res, err := experiment.RunE0(cfg)
-			if err != nil {
+			if err := t.WriteCSV(os.Stdout); err != nil {
 				return err
 			}
-			return emit(experiment.E0Table(res))
-		},
-		"fig3": func() error {
-			cfg := experiment.DefaultFig3Config()
-			if quick {
-				cfg.Iterations = 30
-			}
-			rows, err := experiment.RunFig3(cfg)
-			if err != nil {
+		} else {
+			if err := t.WriteText(os.Stdout); err != nil {
 				return err
 			}
-			return emit(experiment.Fig3Table(rows))
-		},
-		"fig4": func() error {
-			rows, err := runFig45(quick)
-			if err != nil {
-				return err
-			}
-			if err := emit(experiment.Fig4Table(rows)); err != nil {
-				return err
-			}
-			if plot {
-				return experiment.Fig4Plot(rows).Render(os.Stdout)
-			}
-			return nil
-		},
-		"fig5": func() error {
-			rows, err := runFig45(quick)
-			if err != nil {
-				return err
-			}
-			if err := emit(experiment.Fig5Table(rows)); err != nil {
-				return err
-			}
-			if plot {
-				return experiment.Fig5Plot(rows).Render(os.Stdout)
-			}
-			return nil
-		},
-		"faults": func() error {
-			cfg := experiment.DefaultFaultsConfig()
-			if quick {
-				cfg.Warmup = 15
-				cfg.Requests = 40
-			}
-			res, err := experiment.RunFaults(cfg)
-			if err != nil {
-				return err
-			}
-			return emit(experiment.FaultsTable(res))
-		},
-		"predict": func() error {
-			cfg := experiment.DefaultPredictBenchConfig()
-			if quick {
-				cfg.WindowSize = 20
-			}
-			res, err := experiment.RunPredictBench(cfg)
-			if err != nil {
-				return err
-			}
-			if err := emit(experiment.PredictBenchTable(res)); err != nil {
-				return err
-			}
-			if predictOut != "" {
-				blob, err := experiment.MarshalPredictBench(res)
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(predictOut, blob, 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", predictOut)
-			}
-			return nil
-		},
-		"throughput": func() error {
-			cfg := experiment.DefaultThroughputConfig()
-			if quick {
-				cfg.Requests = 3000
-				cfg.WindowSize = 30
-			}
-			res, err := experiment.RunThroughput(cfg)
-			if err != nil {
-				return err
-			}
-			if err := emit(experiment.ThroughputTable(res)); err != nil {
-				return err
-			}
-			if tputAgainst != "" {
-				blob, err := os.ReadFile(tputAgainst)
-				if err != nil {
-					return fmt.Errorf("reading throughput baseline: %w", err)
-				}
-				base, err := experiment.UnmarshalThroughput(blob)
-				if err != nil {
-					return err
-				}
-				if err := experiment.ThroughputFence(res, base); err != nil {
-					return err
-				}
-				fmt.Printf("throughput fence passed against %s\n", tputAgainst)
-			}
-			if tputOut != "" {
-				blob, err := experiment.MarshalThroughput(res)
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(tputOut, blob, 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", tputOut)
-			}
-			return nil
-		},
-		"a1":  tableRunner(experiment.RunA1, emit),
-		"a2":  tableRunner(experiment.RunA2, emit),
-		"a3":  tableRunner(experiment.RunA3, emit),
-		"a4":  tableRunner(experiment.RunA4, emit),
-		"a5":  tableRunner(experiment.RunA5, emit),
-		"a6":  tableRunner(experiment.RunA6, emit),
-		"a7":  tableRunner(experiment.RunA7, emit),
-		"a8":  tableRunner(experiment.RunA8, emit),
-		"a9":  tableRunner(experiment.RunA9, emit),
-		"a10": tableRunner(experiment.RunA10, emit),
-		"a11": tableRunner(experiment.RunA11, emit),
-		"a12": tableRunner(experiment.RunA12, emit),
-		"a13": tableRunner(experiment.RunA13, emit),
-		"a14": tableRunner(experiment.RunA14, emit),
-		"a15": tableRunner(func() (*experiment.Table, error) { return experiment.RunA15(quick) }, emit),
-		"a16": tableRunner(func() (*experiment.Table, error) { return experiment.RunA16(quick) }, emit),
-		"a17": tableRunner(experiment.RunA17, emit),
-		"a18": tableRunner(experiment.RunA18, emit),
-		"v1":  tableRunner(experiment.RunV1, emit),
-	}
-
-	if exp == "all" {
-		// fig4 and fig5 share runs; do them together to avoid re-running.
-		rows, err := runFig45(quick)
-		if err != nil {
-			return fmt.Errorf("fig4/fig5: %w", err)
-		}
-		if err := emit(experiment.Fig4Table(rows)); err != nil {
-			return err
-		}
-		if err := emit(experiment.Fig5Table(rows)); err != nil {
-			return err
-		}
-		if plot {
-			if err := experiment.Fig4Plot(rows).Render(os.Stdout); err != nil {
-				return err
-			}
-			if err := experiment.Fig5Plot(rows).Render(os.Stdout); err != nil {
+			if _, err := fmt.Println(); err != nil {
 				return err
 			}
 		}
-		for _, id := range []string{"e0", "fig3", "faults", "v1", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a10", "a11", "a12", "a13", "a14", "a15", "a16", "a17", "a18"} {
-			if err := runners[id](); err != nil {
-				return fmt.Errorf("%s: %w", id, err)
-			}
+		if plot && t.Plot != nil {
+			return t.Plot.Render(os.Stdout)
 		}
 		return nil
 	}
-	r, ok := runners[exp]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (want e0, fig3, fig4, fig5, faults, v1, a1..a18, predict, throughput, all)", exp)
-	}
-	return r()
-}
-
-func runFig45(quick bool) ([]experiment.Fig45Row, error) {
-	cfg := experiment.DefaultFig45Config()
-	if quick {
-		cfg.Runs = 1
-		cfg.Deadlines = cfg.Deadlines[:len(cfg.Deadlines):len(cfg.Deadlines)]
-	}
-	return experiment.RunFig45(cfg)
-}
-
-func tableRunner(f func() (*experiment.Table, error), emit func(*experiment.Table) error) func() error {
-	return func() error {
-		t, err := f()
+	runOne := func(e experiment.Experiment) error {
+		t, err := e.Run(quick)
 		if err != nil {
 			return err
 		}
 		return emit(t)
 	}
+
+	switch exp {
+	case "all":
+		for _, e := range experiment.Experiments {
+			if err := runOne(e); err != nil {
+				return fmt.Errorf("%s: %w", e.ID, err)
+			}
+		}
+		return nil
+	case "predict":
+		return runPredict(quick, predictOut, emit)
+	case "throughput":
+		return runThroughput(quick, tputOut, tputAgainst, emit)
+	}
+	for _, e := range experiment.Experiments {
+		if e.ID == exp {
+			return runOne(e)
+		}
+	}
+	return fmt.Errorf("unknown experiment %q (want %s)", exp, ids())
+}
+
+// runPredict measures δ on the prediction paths and writes the result to
+// out (BENCH_predict.json by default).
+func runPredict(quick bool, out string, emit func(*experiment.Table) error) error {
+	cfg := experiment.DefaultPredictBenchConfig()
+	if quick {
+		cfg.WindowSize = 20
+	}
+	res, err := experiment.RunPredictBench(cfg)
+	if err != nil {
+		return err
+	}
+	if err := emit(experiment.PredictBenchTable(res)); err != nil {
+		return err
+	}
+	if out == "" {
+		return nil
+	}
+	blob, err := experiment.MarshalPredictBench(res)
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(out, blob, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", out)
+	return nil
+}
+
+// runThroughput measures decision throughput, fences it against the
+// baseline file when one is named, and writes the result to out.
+func runThroughput(quick bool, out, against string, emit func(*experiment.Table) error) error {
+	cfg := experiment.DefaultThroughputConfig()
+	if quick {
+		cfg.Requests = 3000
+		cfg.WindowSize = 30
+	}
+	res, err := experiment.RunThroughput(cfg)
+	if err != nil {
+		return err
+	}
+	if err := emit(experiment.ThroughputTable(res)); err != nil {
+		return err
+	}
+	if against != "" {
+		blob, err := os.ReadFile(against)
+		if err != nil {
+			return fmt.Errorf("reading throughput baseline: %w", err)
+		}
+		base, err := experiment.UnmarshalThroughput(blob)
+		if err != nil {
+			return err
+		}
+		if err := experiment.ThroughputFence(res, base); err != nil {
+			return err
+		}
+		fmt.Printf("throughput fence passed against %s\n", against)
+	}
+	if out == "" {
+		return nil
+	}
+	blob, err := experiment.MarshalThroughput(res)
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(out, blob, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", out)
+	return nil
 }

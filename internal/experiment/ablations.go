@@ -11,56 +11,48 @@ import (
 	"aqua/internal/wire"
 )
 
-// ablationBase is the shared workload for the ablation studies: the Fig-4/5
-// setup at a mid-sweep point (deadline 120 ms, Pc 0.9) where the algorithm
-// has real work to do.
-type ablationBase struct {
+// paperLoad is the §6 workload: a pool of identical replicas serving two
+// closed-loop clients over the LAN. Client 1 is fixed at (200 ms, Pc ≥ 0);
+// client 2, whose metrics the experiments report, runs at (deadline, pc).
+// Figures 4 and 5 sweep it; the ablations perturb it at the mid-sweep point
+// (deadline 120 ms, Pc 0.9) where the algorithm has real work to do.
+type paperLoad struct {
 	deadline time.Duration
 	pc       float64
 	replicas int
+	service  stats.DelayDist
 	requests int
 	think    time.Duration
-	mean     time.Duration
-	sigma    time.Duration
-	seed     int64
+	seed     int64 // run k uses seed+k
 	runs     int
 }
 
-func defaultAblationBase() ablationBase {
-	return ablationBase{
+func defaultAblationBase() paperLoad {
+	return paperLoad{
 		deadline: 120 * time.Millisecond,
 		pc:       0.9,
 		replicas: 7,
+		service:  stats.Normal{Mu: 100 * time.Millisecond, Sigma: 50 * time.Millisecond},
 		requests: 50,
 		think:    time.Second,
-		mean:     100 * time.Millisecond,
-		sigma:    50 * time.Millisecond,
 		seed:     42,
 		runs:     5,
 	}
 }
 
-func (b ablationBase) replicaSpecs() []sim.ReplicaSpec {
-	specs := make([]sim.ReplicaSpec, b.replicas)
-	for i := range specs {
-		specs[i] = sim.ReplicaSpec{Service: stats.Normal{Mu: b.mean, Sigma: b.sigma}}
-	}
-	return specs
-}
-
-// point aggregates the client-2 metrics across runs of one scenario
-// variant. mutate edits the scenario before each run (e.g. crash plans);
-// strategy may be nil for the paper default.
-func (b ablationBase) point(strategy func() selection.Strategy, mutate func(*sim.Scenario)) (meanSel, failProb, served float64, err error) {
-	for run := 0; run < b.runs; run++ {
+// point averages client 2's closedLoop sample over the runs of one scenario
+// variant. strategy may be nil for the paper default; mutate, when set,
+// edits the scenario before each run (e.g. crash plans).
+func (b paperLoad) point(strategy func() selection.Strategy, mutate func(*sim.Scenario)) (closedLoop, error) {
+	return runCell(seedRange(b.seed, b.runs), func(seed int64) sim.Scenario {
 		sc := sim.Scenario{
-			Replicas: b.replicaSpecs(),
+			Replicas: repeat(b.replicas, sim.ReplicaSpec{Service: b.service}),
 			Clients: []sim.ClientSpec{
 				{QoS: wire.QoS{Deadline: 200 * time.Millisecond, MinProbability: 0}, Requests: b.requests, Think: b.think},
 				{QoS: wire.QoS{Deadline: b.deadline, MinProbability: b.pc}, Requests: b.requests, Think: b.think},
 			},
-			Network: sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
-			Seed:    b.seed + int64(run),
+			Network: lan(),
+			Seed:    seed,
 		}
 		if strategy != nil {
 			// Fresh strategy instance per run: some strategies are stateful.
@@ -69,17 +61,8 @@ func (b ablationBase) point(strategy func() selection.Strategy, mutate func(*sim
 		if mutate != nil {
 			mutate(&sc)
 		}
-		res, rerr := sim.Run(sc)
-		if rerr != nil {
-			return 0, 0, 0, rerr
-		}
-		c2 := res.Clients[1]
-		meanSel += c2.MeanSelected()
-		failProb += c2.FailureProbability()
-		served += float64(res.TotalServed())
-	}
-	n := float64(b.runs)
-	return meanSel / n, failProb / n, served / n, nil
+		return sc
+	}, client(1))
 }
 
 // RunA1 compares Algorithm 1 against the single-replica and static
@@ -106,11 +89,11 @@ func RunA1() (*Table, error) {
 		{"all (active)", func() selection.Strategy { return selection.All{} }},
 	}
 	for _, s := range strategies {
-		sel, fail, served, err := b.point(s.mk, nil)
+		p, err := b.point(s.mk, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: a1 %s: %w", s.name, err)
 		}
-		t.Rows = append(t.Rows, []string{s.name, f2(sel), f3(fail), fmt.Sprintf("%.0f", served)})
+		t.Rows = append(t.Rows, []string{s.name, f2(p.Selected), f3(p.FailProb), fmt.Sprintf("%.0f", p.Served)})
 	}
 	return t, nil
 }
@@ -127,11 +110,11 @@ func RunA2() (*Table, error) {
 	}
 	for _, l := range []int{3, 5, 10, 20, 50} {
 		window := l
-		sel, fail, _, err := b.point(nil, func(sc *sim.Scenario) { sc.WindowSize = window })
+		p, err := b.point(nil, func(sc *sim.Scenario) { sc.WindowSize = window })
 		if err != nil {
 			return nil, fmt.Errorf("experiment: a2 l=%d: %w", l, err)
 		}
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", l), f2(sel), f3(fail)})
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", l), f2(p.Selected), f3(p.FailProb)})
 	}
 	return t, nil
 }
@@ -150,7 +133,7 @@ func RunA3() (*Table, error) {
 	}
 	for _, d := range []time.Duration{0, 2 * time.Millisecond, 10 * time.Millisecond} {
 		delta := d
-		sel, fail, _, err := b.point(nil, func(sc *sim.Scenario) {
+		p, err := b.point(nil, func(sc *sim.Scenario) {
 			if delta > 0 {
 				sc.CompensateOverhead = true
 				sc.FixedOverhead = delta
@@ -163,7 +146,7 @@ func RunA3() (*Table, error) {
 		if delta > 0 {
 			label = delta.String()
 		}
-		t.Rows = append(t.Rows, []string{label, f2(sel), f3(fail)})
+		t.Rows = append(t.Rows, []string{label, f2(p.Selected), f3(p.FailProb)})
 	}
 	return t, nil
 }
@@ -193,11 +176,11 @@ func RunA4() (*Table, error) {
 		{"single-best", func() selection.Strategy { return selection.SingleBest{} }},
 	}
 	for _, s := range strategies {
-		sel, fail, _, err := b.point(s.mk, crash)
+		p, err := b.point(s.mk, crash)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: a4 %s: %w", s.name, err)
 		}
-		t.Rows = append(t.Rows, []string{s.name, f2(sel), f3(fail)})
+		t.Rows = append(t.Rows, []string{s.name, f2(p.Selected), f3(p.FailProb)})
 	}
 	return t, nil
 }
@@ -226,11 +209,11 @@ func RunA5() (*Table, error) {
 		{"dynamic f=2", func() selection.Strategy { return selection.NewDynamicMulti(2) }},
 	}
 	for _, s := range strategies {
-		sel, fail, _, err := b.point(s.mk, crash)
+		p, err := b.point(s.mk, crash)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: a5 %s: %w", s.name, err)
 		}
-		t.Rows = append(t.Rows, []string{s.name, f2(sel), f3(fail)})
+		t.Rows = append(t.Rows, []string{s.name, f2(p.Selected), f3(p.FailProb)})
 	}
 	return t, nil
 }
@@ -244,13 +227,11 @@ func RunA6() (*Table, error) {
 		return func(sc *sim.Scenario) {
 			sc.QueueAware = queueAware
 			// Six extra aggressive clients create real queueing.
-			for i := 0; i < 6; i++ {
-				sc.Clients = append(sc.Clients, sim.ClientSpec{
-					QoS:      wire.QoS{Deadline: 300 * time.Millisecond, MinProbability: 0},
-					Requests: 50,
-					Think:    120 * time.Millisecond,
-				})
-			}
+			sc.Clients = append(sc.Clients, repeat(6, sim.ClientSpec{
+				QoS:      wire.QoS{Deadline: 300 * time.Millisecond, MinProbability: 0},
+				Requests: 50,
+				Think:    120 * time.Millisecond,
+			})...)
 		}
 	}
 	t := &Table{
@@ -264,11 +245,11 @@ func RunA6() (*Table, error) {
 		name string
 		qa   bool
 	}{{"windowed W (paper)", false}, {"queue-aware W", true}} {
-		sel, fail, _, err := b.point(nil, burst(v.qa))
+		p, err := b.point(nil, burst(v.qa))
 		if err != nil {
 			return nil, fmt.Errorf("experiment: a6 %s: %w", v.name, err)
 		}
-		t.Rows = append(t.Rows, []string{v.name, f2(sel), f3(fail)})
+		t.Rows = append(t.Rows, []string{v.name, f2(p.Selected), f3(p.FailProb)})
 	}
 	return t, nil
 }
@@ -294,12 +275,12 @@ func RunA7() (*Table, error) {
 	}
 	for _, r := range readings {
 		bb := b
-		bb.sigma = r.sigma
-		sel, fail, _, err := bb.point(nil, nil)
+		bb.service = stats.Normal{Mu: 100 * time.Millisecond, Sigma: r.sigma}
+		p, err := bb.point(nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: a7 %s: %w", r.name, err)
 		}
-		t.Rows = append(t.Rows, []string{r.name, r.sigma.String(), f2(sel), f3(fail)})
+		t.Rows = append(t.Rows, []string{r.name, r.sigma.String(), f2(p.Selected), f3(p.FailProb)})
 	}
 	return t, nil
 }

@@ -9,7 +9,7 @@ import "testing"
 
 const a17TestSeed = 1700
 
-func a17TestVariant(t *testing.T, name string) a17Variant {
+func a17TestVariant(t *testing.T, name string) sweepVariant {
 	t.Helper()
 	for _, v := range a17Variants() {
 		if v.name == name {
@@ -17,7 +17,7 @@ func a17TestVariant(t *testing.T, name string) a17Variant {
 		}
 	}
 	t.Fatalf("no %q variant", name)
-	return a17Variant{}
+	return sweepVariant{}
 }
 
 // TestCancellationLiftsSaturatedGoodput: at 2x and 3x past the saturation
@@ -28,11 +28,11 @@ func TestCancellationLiftsSaturatedGoodput(t *testing.T) {
 	base := a17TestVariant(t, "budgeted")
 	withCancel := a17TestVariant(t, "budgeted+cancel")
 	for _, rate := range []float64{40, 80} {
-		b, err := runA17Cell(rate, base, a17TestSeed)
+		b, err := sweepCell(a17Service, rate, base, []int64{a17TestSeed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := runA17Cell(rate, withCancel, a17TestSeed)
+		c, err := sweepCell(a17Service, rate, withCancel, []int64{a17TestSeed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,18 +59,18 @@ func TestAdaptiveControllerCompetitive(t *testing.T) {
 	adaptive := a17TestVariant(t, "adaptive+cancel")
 	static := a17TestVariant(t, "static-k3+cancel")
 	const rate = 40
-	a, err := runA17Cell(rate, adaptive, a17TestSeed)
+	a, err := sweepCell(a17Service, rate, adaptive, []int64{a17TestSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := runA17Cell(rate, static, a17TestSeed)
+	s, err := sweepCell(a17Service, rate, static, []int64{a17TestSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Goodput < 0.85*s.Goodput {
 		t.Errorf("adaptive goodput %.2f < 85%% of static-k3 %.2f", a.Goodput, s.Goodput)
 	}
-	if a.Budget < 2 || a.Budget > a17Replicas {
-		t.Errorf("controller budget %d escaped [2, %d]", a.Budget, a17Replicas)
+	if a.Budget < 2 || a.Budget > sweepReplicas {
+		t.Errorf("controller budget %d escaped [2, %d]", a.Budget, sweepReplicas)
 	}
 }

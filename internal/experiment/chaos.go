@@ -46,6 +46,51 @@ type a14Window struct {
 	until time.Duration
 }
 
+// timely counts the requests every client issued inside the window, how
+// many of them were timely, and the timely fraction (0 when none were
+// issued).
+func (w a14Window) timely(res *sim.Result) (issued, timely int, frac float64) {
+	for _, c := range res.Clients {
+		for _, rec := range c.Records {
+			if rec.IssuedAt < w.from || rec.IssuedAt >= w.until {
+				continue
+			}
+			issued++
+			if rec.GotReply && !rec.Failure {
+				timely++
+			}
+		}
+	}
+	if issued > 0 {
+		frac = float64(timely) / float64(issued)
+	}
+	return issued, timely, frac
+}
+
+// checkLifecycle reports through fail when a soak's lifecycle loop did not
+// close: the slow host was never quarantined or rejuvenated, restarts broke
+// the storm cap, a quarantined or probation replica was selected, or a
+// client leaked pending entries.
+func checkLifecycle(res *sim.Result, fail func(format string, args ...any)) {
+	if res.Quarantines < 1 {
+		fail("no quarantine recorded; the slow host was never ejected")
+	}
+	if res.Restarts < 1 {
+		fail("no rejuvenation restart recorded")
+	}
+	if res.Restarts > sim.DefaultSimMaxRestarts {
+		fail("restarts %d exceed the storm cap %d", res.Restarts, sim.DefaultSimMaxRestarts)
+	}
+	if res.ProbationViolations != 0 {
+		fail("%d probation/quarantine replicas appeared in selections", res.ProbationViolations)
+	}
+	for i, c := range res.Clients {
+		if c.Outstanding != 0 {
+			fail("client %d leaked %d pending entries", i, c.Outstanding)
+		}
+	}
+}
+
 // a14Windows are the quiet windows where the Pc bound must hold: before any
 // fault, and after each fault clears plus the recovery grace.
 func a14Windows() []a14Window {
@@ -61,12 +106,7 @@ func a14Windows() []a14Window {
 // kernel, the split random streams, and the fixed fault schedule leave no
 // wall-clock dependence.
 func a14Scenario(seed int64) sim.Scenario {
-	replicas := make([]sim.ReplicaSpec, a14Hosts)
-	for i := range replicas {
-		replicas[i] = sim.ReplicaSpec{
-			Service: stats.Normal{Mu: 25 * time.Millisecond, Sigma: 5 * time.Millisecond},
-		}
-	}
+	replicas := repeat(a14Hosts, normal(25*time.Millisecond, 5*time.Millisecond))
 	// Host 1 turns persistently slow — every reply blows the deadline until
 	// the host "heals" at a14SlowUntil. Rejuvenation restarts it, but the
 	// window is host-level, so replacements stay sick until then (the case
@@ -78,18 +118,14 @@ func a14Scenario(seed int64) sim.Scenario {
 	// absorbed by membership detection rather than the lifecycle loop.
 	replicas[2].CrashAt = a14CrashAt
 
-	clients := make([]sim.ClientSpec, 2)
-	for i := range clients {
-		clients[i] = sim.ClientSpec{
+	return sim.Scenario{
+		Replicas: replicas,
+		Clients: repeat(2, sim.ClientSpec{
 			QoS:      wire.QoS{Deadline: a14Deadline, MinProbability: a14Pc},
 			Requests: 1900,
 			Think:    20 * time.Millisecond,
-		}
-	}
-	return sim.Scenario{
-		Replicas: replicas,
-		Clients:  clients,
-		Network:  sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
+		}),
+		Network: lan(),
 		// Host 3's link degrades for ten seconds: replies survive but arrive
 		// ~100ms late in each direction, the paper's overloaded-link class.
 		Faults: []sim.LinkFault{{
@@ -151,22 +187,7 @@ func RunA14() (*Table, error) {
 
 	// Pc-recovery windows, measured across both clients' records.
 	for _, w := range a14Windows() {
-		issued, timely := 0, 0
-		for _, c := range res.Clients {
-			for _, rec := range c.Records {
-				if rec.IssuedAt < w.from || rec.IssuedAt >= w.until {
-					continue
-				}
-				issued++
-				if rec.GotReply && !rec.Failure {
-					timely++
-				}
-			}
-		}
-		frac := 0.0
-		if issued > 0 {
-			frac = float64(timely) / float64(issued)
-		}
+		issued, timely, frac := w.timely(res)
 		ok := issued > 0 && frac >= a14Pc
 		if !ok {
 			fail("window %q: timely %d/%d = %.3f below Pc=%.2f", w.name, timely, issued, frac, a14Pc)
@@ -177,25 +198,7 @@ func RunA14() (*Table, error) {
 		})
 	}
 
-	// Lifecycle loop actually closed: the slow host was quarantined and
-	// rejuvenated, bounded by the storm cap.
-	if res.Quarantines < 1 {
-		fail("no quarantine recorded; the slow host was never ejected")
-	}
-	if res.Restarts < 1 {
-		fail("no rejuvenation restart recorded")
-	}
-	if res.Restarts > sim.DefaultSimMaxRestarts {
-		fail("restarts %d exceed the storm cap %d", res.Restarts, sim.DefaultSimMaxRestarts)
-	}
-	if res.ProbationViolations != 0 {
-		fail("%d probation/quarantine replicas appeared in selections", res.ProbationViolations)
-	}
-	for i, c := range res.Clients {
-		if c.Outstanding != 0 {
-			fail("client %d leaked %d pending entries", i, c.Outstanding)
-		}
-	}
+	checkLifecycle(res, fail)
 	// The whole soak runs on the caller's goroutine inside the virtual
 	// kernel; anything left over is a leak.
 	if gAfter := runtime.NumGoroutine(); gAfter > gBefore {

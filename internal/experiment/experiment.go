@@ -25,6 +25,9 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
+	// Plot, when set, charts the same rows (aqua-exp -plot renders it
+	// after the table).
+	Plot *Plot
 }
 
 // WriteText renders the table with aligned columns.

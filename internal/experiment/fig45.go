@@ -6,7 +6,6 @@ import (
 
 	"aqua/internal/sim"
 	"aqua/internal/stats"
-	"aqua/internal/wire"
 )
 
 // Fig45Config parameterizes the paper's main experiment (Figures 4 and 5):
@@ -78,68 +77,39 @@ func RunFig45(cfg Fig45Config) ([]Fig45Row, error) {
 	var rows []Fig45Row
 	for _, pc := range cfg.Probabilities {
 		for _, deadline := range cfg.Deadlines {
-			var selSum, failSum, servedSum float64
-			var respSum, p95Sum time.Duration
-			for run := 0; run < cfg.Runs; run++ {
-				res, err := runFig45Point(cfg, deadline, pc, cfg.Seed+int64(run))
-				if err != nil {
-					return nil, err
-				}
-				c2 := res.Clients[1]
-				selSum += c2.MeanSelected()
-				failSum += c2.FailureProbability()
-				respSum += c2.MeanResponseTime()
-				p95Sum += c2.ResponseTimePercentile(95)
-				servedSum += float64(res.TotalServed())
+			b := paperLoad{
+				deadline: deadline,
+				pc:       pc,
+				replicas: cfg.Replicas,
+				service:  stats.Normal{Mu: cfg.ServiceMean, Sigma: cfg.ServiceSigma},
+				requests: cfg.RequestsPerClient,
+				think:    cfg.Think,
+				seed:     cfg.Seed,
+				runs:     cfg.Runs,
 			}
-			n := float64(cfg.Runs)
+			p, err := b.point(nil, func(sc *sim.Scenario) { sc.WindowSize = cfg.WindowSize })
+			if err != nil {
+				return nil, err
+			}
 			rows = append(rows, Fig45Row{
 				Deadline:     deadline,
 				Probability:  pc,
-				MeanSelected: selSum / n,
-				FailureProb:  failSum / n,
-				MeanResponse: respSum / time.Duration(cfg.Runs),
-				P95Response:  p95Sum / time.Duration(cfg.Runs),
-				TotalServed:  servedSum / n,
+				MeanSelected: p.Selected,
+				FailureProb:  p.FailProb,
+				MeanResponse: p.MeanRT,
+				P95Response:  p.P95,
+				TotalServed:  p.Served,
 			})
 		}
 	}
 	return rows, nil
 }
 
-func runFig45Point(cfg Fig45Config, deadline time.Duration, pc float64, seed int64) (*sim.Result, error) {
-	replicas := make([]sim.ReplicaSpec, cfg.Replicas)
-	for i := range replicas {
-		replicas[i] = sim.ReplicaSpec{
-			Service: stats.Normal{Mu: cfg.ServiceMean, Sigma: cfg.ServiceSigma},
-		}
-	}
-	return sim.Run(sim.Scenario{
-		Replicas: replicas,
-		Clients: []sim.ClientSpec{
-			// Client 1: fixed 200 ms deadline, Pc >= 0 in every run (§6).
-			{
-				QoS:      wire.QoS{Deadline: 200 * time.Millisecond, MinProbability: 0},
-				Requests: cfg.RequestsPerClient,
-				Think:    cfg.Think,
-			},
-			// Client 2: the swept client whose metrics the figures plot.
-			{
-				QoS:      wire.QoS{Deadline: deadline, MinProbability: pc},
-				Requests: cfg.RequestsPerClient,
-				Think:    cfg.Think,
-			},
-		},
-		Network:    sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
-		WindowSize: cfg.WindowSize,
-		Seed:       seed,
-	})
-}
-
 // Fig4Table formats the Figure 4 view of the rows.
 func Fig4Table(rows []Fig45Row) *Table {
 	t := &Table{
 		Title:   "Figure 4: average number of replicas selected vs client deadline",
+		Plot:    Fig4Plot(rows),
 		Columns: []string{"deadline_ms", "Pc", "mean_selected", "server_work", "mean_tr_ms", "p95_tr_ms"},
 		Notes: []string{
 			"paper: fewer replicas at longer deadlines and laxer Pc; floor = 2; up to ~6 at (100ms, 0.9)",
@@ -162,6 +132,7 @@ func Fig4Table(rows []Fig45Row) *Table {
 func Fig5Table(rows []Fig45Row) *Table {
 	t := &Table{
 		Title:   "Figure 5: observed probability of timing failures vs client deadline",
+		Plot:    Fig5Plot(rows),
 		Columns: []string{"deadline_ms", "Pc", "failure_prob", "allowed(1-Pc)", "ok"},
 		Notes: []string{
 			"paper: observed failure probability stays below the tolerated 1-Pc (max 0.08 vs 0.1; 0.32 vs 0.5; 0.36 vs 1.0)",

@@ -482,29 +482,20 @@ func a18Windows() []a14Window {
 
 // a18Scenario builds the soak; deterministic for a fixed seed.
 func a18Scenario(seed int64, rec *trace.Recorder) sim.Scenario {
-	replicas := make([]sim.ReplicaSpec, a18Hosts)
-	for i := range replicas {
-		replicas[i] = sim.ReplicaSpec{
-			Service: stats.Normal{Mu: 25 * time.Millisecond, Sigma: 5 * time.Millisecond},
-		}
-	}
+	replicas := repeat(a18Hosts, normal(25*time.Millisecond, 5*time.Millisecond))
 	replicas[1].Slow = stats.Constant{Delay: 150 * time.Millisecond}
 	replicas[1].SlowFrom = a18SlowFrom
 	replicas[1].SlowUntil = a18SlowUntil
 	replicas[2].CrashAt = a18CrashAt
 
-	clients := make([]sim.ClientSpec, 2)
-	for i := range clients {
-		clients[i] = sim.ClientSpec{
+	return sim.Scenario{
+		Replicas: replicas,
+		Clients: repeat(2, sim.ClientSpec{
 			QoS:      wire.QoS{Deadline: a18Deadline, MinProbability: a18Pc},
 			Requests: 1000,
 			Think:    20 * time.Millisecond,
-		}
-	}
-	return sim.Scenario{
-		Replicas:       replicas,
-		Clients:        clients,
-		Network:        sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
+		}),
+		Network:        lan(),
 		StalenessBound: a18Staleness,
 		Lifecycle: core.LifecycleConfig{
 			Enabled:              true,
@@ -531,22 +522,7 @@ func runA18Soak(t *Table, fail func(format string, args ...any)) error {
 	}
 
 	for _, w := range a18Windows() {
-		issued, timely := 0, 0
-		for _, c := range res.Clients {
-			for _, r := range c.Records {
-				if r.IssuedAt < w.from || r.IssuedAt >= w.until {
-					continue
-				}
-				issued++
-				if r.GotReply && !r.Failure {
-					timely++
-				}
-			}
-		}
-		frac := 0.0
-		if issued > 0 {
-			frac = float64(timely) / float64(issued)
-		}
+		issued, timely, frac := w.timely(res)
 		ok := issued > 0 && frac >= a18Pc
 		if !ok {
 			fail("soak window %q: timely %d/%d = %.3f below Pc=%.2f", w.name, timely, issued, frac, a18Pc)
@@ -557,25 +533,9 @@ func runA18Soak(t *Table, fail func(format string, args ...any)) error {
 		})
 	}
 
-	if res.Quarantines < 1 {
-		fail("soak: no quarantine recorded; the slow host was never ejected")
-	}
-	if res.Restarts < 1 {
-		fail("soak: no rejuvenation restart recorded")
-	}
-	if res.Restarts > sim.DefaultSimMaxRestarts {
-		fail("soak: restarts %d exceed the storm cap %d", res.Restarts, sim.DefaultSimMaxRestarts)
-	}
+	checkLifecycle(res, func(format string, args ...any) { fail("soak: "+format, args...) })
 	if res.StateTransfers < 1 {
 		fail("soak: no rejuvenated incarnation completed its state transfer")
-	}
-	if res.ProbationViolations != 0 {
-		fail("soak: %d probation/quarantine replicas appeared in selections", res.ProbationViolations)
-	}
-	for i, c := range res.Clients {
-		if c.Outstanding != 0 {
-			fail("soak: client %d leaked %d pending entries", i, c.Outstanding)
-		}
 	}
 
 	// Re-admission gate, checked against the schedule trace: no selection

@@ -11,7 +11,7 @@ import "testing"
 
 const s4Seed = 1300
 
-func s4Variant(t *testing.T, name string) a13Variant {
+func s4Variant(t *testing.T, name string) sweepVariant {
 	t.Helper()
 	for _, v := range a13Variants() {
 		if v.name == name {
@@ -19,7 +19,7 @@ func s4Variant(t *testing.T, name string) a13Variant {
 		}
 	}
 	t.Fatalf("no %q variant", name)
-	return a13Variant{}
+	return sweepVariant{}
 }
 
 // TestOverloadPaperExactCollapses: past saturation (~25 admitted req/s) the
@@ -29,7 +29,7 @@ func s4Variant(t *testing.T, name string) a13Variant {
 func TestOverloadPaperExactCollapses(t *testing.T) {
 	v := s4Variant(t, "paper-exact")
 	for _, rate := range []float64{20, 40} {
-		out, err := runA13Cell(rate, v, s4Seed)
+		out, err := sweepCell(a13Service, rate, v, []int64{s4Seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestOverloadBudgetedDegradesGracefully(t *testing.T) {
 	rates := []float64{20, 40, 80}
 	goodput := make([]float64, len(rates))
 	for i, rate := range rates {
-		out, err := runA13Cell(rate, v, s4Seed)
+		out, err := sweepCell(a13Service, rate, v, []int64{s4Seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestOverloadBudgetedDegradesGracefully(t *testing.T) {
 		if out.OverBudget != 0 {
 			t.Errorf("rate=%.0f: %d decisions exceeded their redundancy budget", rate, out.OverBudget)
 		}
-		if out.MaxK > a13Replicas {
+		if out.MaxK > sweepReplicas {
 			t.Errorf("rate=%.0f: max |K| = %d exceeds the pool", rate, out.MaxK)
 		}
 		// Admission control is active and explicit: past saturation some
@@ -70,7 +70,7 @@ func TestOverloadBudgetedDegradesGracefully(t *testing.T) {
 		if out.Shed == 0 {
 			t.Errorf("rate=%.0f: no requests shed past saturation", rate)
 		}
-		if want := int(rate * a13Horizon.Seconds()); out.Issued != want {
+		if want := int(rate * sweepHorizon.Seconds()); out.Issued != want {
 			t.Errorf("rate=%.0f: %d records for %d offered requests — shed requests dropped from accounting",
 				rate, out.Issued, want)
 		}

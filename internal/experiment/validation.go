@@ -29,20 +29,14 @@ func RunV1() (*Table, error) {
 	for seed := int64(0); seed < 10; seed++ {
 		for _, deadline := range []time.Duration{90, 110, 130, 160} {
 			for _, pc := range []float64{0.95, 0.7, 0.4, 0.1} {
-				replicas := make([]sim.ReplicaSpec, 7)
-				for i := range replicas {
-					replicas[i] = sim.ReplicaSpec{
-						Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 50 * time.Millisecond},
-					}
-				}
 				res, err := sim.Run(sim.Scenario{
-					Replicas: replicas,
+					Replicas: repeat(7, normal(100*time.Millisecond, 50*time.Millisecond)),
 					Clients: []sim.ClientSpec{{
 						QoS:      wire.QoS{Deadline: deadline * time.Millisecond, MinProbability: pc},
 						Requests: 50,
 						Think:    200 * time.Millisecond,
 					}},
-					Network: sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
+					Network: lan(),
 					Seed:    seed*1000 + int64(deadline) + int64(pc*100),
 				})
 				if err != nil {
@@ -123,11 +117,11 @@ func RunA8() (*Table, error) {
 		{"window-5 pmf", 5},
 		{"window-20 pmf", 20},
 	} {
-		sel, fail, _, err := b.point(nil, spiky(v.history))
+		p, err := b.point(nil, spiky(v.history))
 		if err != nil {
 			return nil, fmt.Errorf("experiment: a8 %s: %w", v.name, err)
 		}
-		t.Rows = append(t.Rows, []string{v.name, f2(sel), f3(fail)})
+		t.Rows = append(t.Rows, []string{v.name, f2(p.Selected), f3(p.FailProb)})
 	}
 	return t, nil
 }
@@ -153,41 +147,28 @@ func RunA9() (*Table, error) {
 			{"dynamic", func() selection.Strategy { return selection.NewDynamic() }},
 			{"single-best", func() selection.Strategy { return selection.SingleBest{} }},
 		} {
-			var selSum, failSum float64
-			var p95Sum time.Duration
-			const runs = 3
-			for run := 0; run < runs; run++ {
-				replicas := make([]sim.ReplicaSpec, 5)
-				for i := range replicas {
-					replicas[i] = sim.ReplicaSpec{
-						Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 30 * time.Millisecond},
-					}
-				}
-				res, err := sim.Run(sim.Scenario{
-					Replicas: replicas,
+			p, err := runCell(seedRange(100*int64(rate), 3), func(seed int64) sim.Scenario {
+				return sim.Scenario{
+					Replicas: repeat(5, normal(100*time.Millisecond, 30*time.Millisecond)),
 					Clients: []sim.ClientSpec{{
 						QoS:      wire.QoS{Deadline: 250 * time.Millisecond, MinProbability: 0.9},
 						Requests: 150,
 						Arrival:  stats.Exponential{MeanDelay: time.Duration(float64(time.Second) / rate)},
 						Strategy: v.mk(),
 					}},
-					Network: sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
-					Seed:    100*int64(rate) + int64(run),
-				})
-				if err != nil {
-					return nil, fmt.Errorf("experiment: a9 rate=%v %s: %w", rate, v.name, err)
+					Network: lan(),
+					Seed:    seed,
 				}
-				c := res.Clients[0]
-				selSum += c.MeanSelected()
-				failSum += c.FailureProbability()
-				p95Sum += c.ResponseTimePercentile(95)
+			}, client(0))
+			if err != nil {
+				return nil, fmt.Errorf("experiment: a9 rate=%v %s: %w", rate, v.name, err)
 			}
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%.0f", rate),
 				v.name,
-				f2(selSum / runs),
-				f3(failSum / runs),
-				fmt.Sprintf("%.1f", float64(p95Sum/runs)/float64(time.Millisecond)),
+				f2(p.Selected),
+				f3(p.FailProb),
+				fmt.Sprintf("%.1f", float64(p.P95)/float64(time.Millisecond)),
 			})
 		}
 	}
@@ -222,33 +203,19 @@ func RunA10() (*Table, error) {
 		},
 	}
 	for _, fam := range families {
-		var selSum, failSum float64
-		const runs = 5
-		for run := 0; run < runs; run++ {
-			replicas := make([]sim.ReplicaSpec, 7)
-			for i := range replicas {
-				replicas[i] = sim.ReplicaSpec{Service: fam.dist}
-			}
-			res, err := sim.Run(sim.Scenario{
-				Replicas: replicas,
-				Clients: []sim.ClientSpec{
-					{QoS: wire.QoS{Deadline: 200 * time.Millisecond, MinProbability: 0}, Requests: 50, Think: time.Second},
-					{QoS: wire.QoS{Deadline: 150 * time.Millisecond, MinProbability: 0.9}, Requests: 50, Think: time.Second},
-				},
-				Network: sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
-				Seed:    300 + int64(run),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiment: a10 %s: %w", fam.name, err)
-			}
-			selSum += res.Clients[1].MeanSelected()
-			failSum += res.Clients[1].FailureProbability()
+		b := defaultAblationBase()
+		b.deadline = 150 * time.Millisecond
+		b.service = fam.dist
+		b.seed = 300
+		p, err := b.point(nil, nil)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: a10 %s: %w", fam.name, err)
 		}
 		held := "yes"
-		if failSum/runs > 0.1 {
+		if p.FailProb > 0.1 {
 			held = "NO"
 		}
-		t.Rows = append(t.Rows, []string{fam.name, f2(selSum / runs), f3(failSum / runs), held})
+		t.Rows = append(t.Rows, []string{fam.name, f2(p.Selected), f3(p.FailProb), held})
 	}
 	return t, nil
 }
@@ -265,38 +232,24 @@ func RunA11() (*Table, error) {
 		},
 	}
 	for _, k := range []int{1, 2, 4} {
-		var selSum, failSum float64
-		const runs = 3
-		for run := 0; run < runs; run++ {
-			replicas := make([]sim.ReplicaSpec, 3)
-			for i := range replicas {
-				replicas[i] = sim.ReplicaSpec{
-					Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 30 * time.Millisecond},
-					Workers: k,
-				}
-			}
-			clients := make([]sim.ClientSpec, 6)
-			for i := range clients {
-				clients[i] = sim.ClientSpec{
+		spec := normal(100*time.Millisecond, 30*time.Millisecond)
+		spec.Workers = k
+		p, err := runCell(seedRange(400, 3), func(seed int64) sim.Scenario {
+			return sim.Scenario{
+				Replicas: repeat(3, spec),
+				Clients: repeat(6, sim.ClientSpec{
 					QoS:      wire.QoS{Deadline: 250 * time.Millisecond, MinProbability: 0.9},
 					Requests: 50,
 					Think:    150 * time.Millisecond,
-				}
+				}),
+				Network: lan(),
+				Seed:    seed,
 			}
-			res, err := sim.Run(sim.Scenario{
-				Replicas: replicas,
-				Clients:  clients,
-				Network:  sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
-				Seed:     400 + int64(run),
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiment: a11 k=%d: %w", k, err)
-			}
-			c := res.Clients[0]
-			selSum += c.MeanSelected()
-			failSum += c.FailureProbability()
+		}, client(0))
+		if err != nil {
+			return nil, fmt.Errorf("experiment: a11 k=%d: %w", k, err)
 		}
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", k), f2(selSum / runs), f3(failSum / runs)})
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", k), f2(p.Selected), f3(p.FailProb)})
 	}
 	return t, nil
 }
@@ -330,16 +283,7 @@ func RunA12() (*Table, error) {
 			{"dynamic (paper)", func() selection.Strategy { return selection.NewDynamic() }},
 			{"dynamic-cap3", func() selection.Strategy { return selection.NewDynamicCapped(3) }},
 		} {
-			var selSum, failSum, servedSum float64
-			var trSum time.Duration
-			const runs = 3
-			for run := 0; run < runs; run++ {
-				replicas := make([]sim.ReplicaSpec, 7)
-				for i := range replicas {
-					replicas[i] = sim.ReplicaSpec{
-						Service: stats.Normal{Mu: 100 * time.Millisecond, Sigma: 50 * time.Millisecond},
-					}
-				}
+			p, err := runCell(seedRange(500, 3), func(seed int64) sim.Scenario {
 				clients := make([]sim.ClientSpec, nClients)
 				for i := range clients {
 					clients[i] = sim.ClientSpec{
@@ -351,34 +295,36 @@ func RunA12() (*Table, error) {
 						StartAt: time.Duration(i) * 50 * time.Millisecond,
 					}
 				}
-				res, err := sim.Run(sim.Scenario{
-					Replicas: replicas,
+				return sim.Scenario{
+					Replicas: repeat(7, normal(100*time.Millisecond, 50*time.Millisecond)),
 					Clients:  clients,
-					Network:  sim.NetworkModel{Base: stats.Constant{Delay: 500 * time.Microsecond}},
-					Seed:     500 + int64(run),
-				})
-				if err != nil {
-					return nil, fmt.Errorf("experiment: a12 n=%d: %w", nClients, err)
+					Network:  lan(),
+					Seed:     seed,
 				}
-				var sel, fail float64
-				var tr time.Duration
+			}, func(res *sim.Result) closedLoop {
+				// The per-client mean over every client in the run.
+				var out closedLoop
 				for _, c := range res.Clients {
-					sel += c.MeanSelected()
-					fail += c.FailureProbability()
-					tr += c.MeanResponseTime()
+					out.Selected += c.MeanSelected()
+					out.FailProb += c.FailureProbability()
+					out.MeanRT += c.MeanResponseTime()
 				}
-				selSum += sel / float64(nClients)
-				failSum += fail / float64(nClients)
-				trSum += tr / time.Duration(nClients)
-				servedSum += float64(res.TotalServed())
+				out.Selected /= float64(nClients)
+				out.FailProb /= float64(nClients)
+				out.MeanRT /= time.Duration(nClients)
+				out.Served = float64(res.TotalServed())
+				return out
+			})
+			if err != nil {
+				return nil, fmt.Errorf("experiment: a12 n=%d: %w", nClients, err)
 			}
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%d", nClients),
 				strat.name,
-				f2(selSum / runs),
-				f3(failSum / runs),
-				fmt.Sprintf("%.1f", float64(trSum/runs)/float64(time.Millisecond)),
-				fmt.Sprintf("%.0f", servedSum/runs),
+				f2(p.Selected),
+				f3(p.FailProb),
+				fmt.Sprintf("%.1f", float64(p.MeanRT)/float64(time.Millisecond)),
+				fmt.Sprintf("%.0f", p.Served),
 			})
 		}
 	}

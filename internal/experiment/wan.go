@@ -95,78 +95,39 @@ func a16PlacementName(p []int) string {
 	return s
 }
 
-// a16Outcome aggregates one (placement, T-mode) cell across seeds.
-type a16Outcome struct {
-	TimelyFrac float64
-	MeanK      float64
-	P95        time.Duration
-}
-
-// runA16Cell simulates one placement under one gateway-history setting.
-func runA16Cell(placement []int, gatewayHist int, seed int64) (a16Outcome, error) {
-	replicas := make([]sim.ReplicaSpec, len(placement))
-	for i := range replicas {
-		replicas[i] = sim.ReplicaSpec{Service: stats.Normal{Mu: a16ServiceMu, Sigma: a16ServiceSigma}}
-	}
-	res, err := sim.Run(sim.Scenario{
-		Replicas: replicas,
-		Clients: []sim.ClientSpec{{
-			QoS:      wire.QoS{Deadline: a16Deadline, MinProbability: a16MinProb},
-			Requests: int(a16Rate * a16Horizon.Seconds()),
-			Arrival:  stats.Exponential{MeanDelay: time.Duration(float64(time.Second) / a16Rate)},
-			Region:   0,
-		}},
-		WAN: &sim.WANModel{
-			Regions:       a16Regions,
-			ReplicaRegion: append([]int(nil), placement...),
-			Latency:       a16Latency(),
-			Jitter: &sim.WANJitter{
-				Period: a16CongestPeriod,
-				Prob:   a16CongestProb,
-				Extra:  stats.Constant{Delay: a16CongestExtra},
+// a16Cell averages one placement under one gateway-history setting over
+// seeds.
+func a16Cell(placement []int, gatewayHist int, seeds []int64) (openLoop, error) {
+	out, err := runCell(seeds, func(seed int64) sim.Scenario {
+		return sim.Scenario{
+			Replicas: repeat(len(placement), normal(a16ServiceMu, a16ServiceSigma)),
+			Clients: []sim.ClientSpec{{
+				QoS:      wire.QoS{Deadline: a16Deadline, MinProbability: a16MinProb},
+				Requests: int(a16Rate * a16Horizon.Seconds()),
+				Arrival:  stats.Exponential{MeanDelay: time.Duration(float64(time.Second) / a16Rate)},
+				Region:   0,
+			}},
+			WAN: &sim.WANModel{
+				Regions:       a16Regions,
+				ReplicaRegion: append([]int(nil), placement...),
+				Latency:       a16Latency(),
+				Jitter: &sim.WANJitter{
+					Period: a16CongestPeriod,
+					Prob:   a16CongestProb,
+					Extra:  stats.Constant{Delay: a16CongestExtra},
+				},
 			},
-		},
-		GatewayHistory: gatewayHist,
-		StalenessBound: a16Staleness,
-		Seed:           seed,
-		MaxTime:        4 * time.Hour,
-	})
-	if err != nil {
-		return a16Outcome{}, err
-	}
-	c := res.Clients[0]
-	out := a16Outcome{P95: c.ResponseTimePercentile(95)}
-	timely, kSum := 0, 0
-	for _, rec := range c.Records {
-		kSum += rec.NumSelected
-		if rec.GotReply && !rec.Failure {
-			timely++
+			GatewayHistory: gatewayHist,
+			StalenessBound: a16Staleness,
+			Seed:           seed,
+			MaxTime:        4 * time.Hour,
 		}
-	}
-	if n := len(c.Records); n > 0 {
-		out.TimelyFrac = float64(timely) / float64(n)
-		out.MeanK = float64(kSum) / float64(n)
+	}, steady(0, a16Horizon))
+	if err != nil {
+		return openLoop{}, fmt.Errorf("experiment: a16 placement=%s hist=%d: %w",
+			a16PlacementName(placement), gatewayHist, err)
 	}
 	return out, nil
-}
-
-// a16Cell averages a cell over seeds.
-func a16Cell(placement []int, gatewayHist, runs int) (a16Outcome, error) {
-	var sum a16Outcome
-	for run := 0; run < runs; run++ {
-		out, err := runA16Cell(placement, gatewayHist, 1600+int64(run))
-		if err != nil {
-			return a16Outcome{}, fmt.Errorf("experiment: a16 placement=%s hist=%d: %w",
-				a16PlacementName(placement), gatewayHist, err)
-		}
-		sum.TimelyFrac += out.TimelyFrac
-		sum.MeanK += out.MeanK
-		sum.P95 += out.P95
-	}
-	sum.TimelyFrac /= float64(runs)
-	sum.MeanK /= float64(runs)
-	sum.P95 /= time.Duration(runs)
-	return sum, nil
 }
 
 // RunA16 ranks every placement of a16Budget replicas over a16Regions regions
@@ -181,9 +142,9 @@ func a16Cell(placement []int, gatewayHist, runs int) (a16Outcome, error) {
 // sees the mixture must not lose — `make a16` is a CI fence, not just a
 // table.
 func RunA16(quick bool) (*Table, error) {
-	runs := a16Runs
+	seeds := seedRange(1600, a16Runs)
 	if quick {
-		runs = a16QuickRuns
+		seeds = seeds[:a16QuickRuns]
 	}
 	t := &Table{
 		Title: fmt.Sprintf("A16: WAN deployment ranking, %d replicas over %d regions (service ~N(%v,%v), deadline=%v, Pc=%.1f, congestion %v @ p=%.2f +%v one-way)",
@@ -192,14 +153,14 @@ func RunA16(quick bool) (*Table, error) {
 		Notes: []string{
 			"placement lists the region of each of the 3 replicas; the client is in region 0 (region 1 at 12ms, region 2 at 40ms one-way)",
 			"t_model point-mass = paper's most-recent T (gateway history 1); windowed = empirical per-link T pmf (gateway history 12)",
-			fmt.Sprintf("timely_frac averages %d seeds; rank orders placements per t_model by timely_frac", runs),
+			fmt.Sprintf("timely_frac averages %d seeds; rank orders placements per t_model by timely_frac", len(seeds)),
 			"fence: the windowed T's best placement must be >= the point-mass T's best placement in timely fraction",
 		},
 	}
 
 	type ranked struct {
 		placement []int
-		out       a16Outcome
+		out       openLoop
 	}
 	modes := []struct {
 		name string
@@ -212,7 +173,7 @@ func RunA16(quick bool) (*Table, error) {
 	for _, mode := range modes {
 		var rows []ranked
 		for _, p := range a16Placements() {
-			out, err := a16Cell(p, mode.hist, runs)
+			out, err := a16Cell(p, mode.hist, seeds)
 			if err != nil {
 				return nil, err
 			}

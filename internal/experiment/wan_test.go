@@ -44,11 +44,11 @@ func TestA16PlacementEnumeration(t *testing.T) {
 // the only estimate it keeps.
 func TestA16WindowedTBeatsPointMass(t *testing.T) {
 	placement := []int{0, 0, 0}
-	pm, err := runA16Cell(placement, 1, 1600)
+	pm, err := a16Cell(placement, 1, []int64{1600})
 	if err != nil {
 		t.Fatal(err)
 	}
-	win, err := runA16Cell(placement, a16TWindow, 1600)
+	win, err := a16Cell(placement, a16TWindow, []int64{1600})
 	if err != nil {
 		t.Fatal(err)
 	}

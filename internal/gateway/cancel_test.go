@@ -60,7 +60,11 @@ func TestCancelOnFirstReplyStopsLosers(t *testing.T) {
 		}
 	}
 
-	// Every call fans to 3 replicas; the two slow losers are cancelled.
+	// Every call fans to 3 replicas; the two slow losers are cancelled. Call
+	// returns once the first reply reaches its waiter, and the receive loop
+	// multicasts that call's Cancel just after, so wait for the last one.
+	waitFor(t, 2*time.Second, func() bool { return reg.Counter(metrics.GatewayCancels).Value() >= 2*calls },
+		"the last call's cancels")
 	if got := reg.Counter(metrics.GatewayCancels).Value(); got != 2*calls {
 		t.Errorf("cancels sent = %d, want %d", got, 2*calls)
 	}

@@ -467,6 +467,11 @@ func (h *TimingFaultHandler) callOnce(ctx context.Context, method string, payloa
 		// in send order and the logged frame matches the one on the wire.
 		h.ordered.stamp(&req)
 	}
+	// Record t1 before the multicast: every reply can be handled before
+	// Multicast returns, and OnReply needs the pending entry and its t1.
+	if err := h.sched.Dispatched(d.Seq, t1); err != nil {
+		return nil, fmt.Errorf("gateway: %w", err)
+	}
 	if err := transport.Multicast(h.ep, addrs, req); err != nil {
 		// A saturated send queue is an overload signal: feed it into the
 		// scheduler's degradation ladder so selection stops fanning out
@@ -480,9 +485,6 @@ func (h *TimingFaultHandler) callOnce(ctx context.Context, method string, payloa
 			h.sched.Forget(d.Seq)
 			return nil, fmt.Errorf("gateway: sending request: %w", err)
 		}
-	}
-	if err := h.sched.Dispatched(d.Seq, t1); err != nil {
-		return nil, fmt.Errorf("gateway: %w", err)
 	}
 
 	// Arm the deadline: if no reply arrived in time, the timing failure is

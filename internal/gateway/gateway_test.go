@@ -761,3 +761,92 @@ func TestCallRetriesOnceAfterShed(t *testing.T) {
 		t.Errorf("Completed = %d, want >= 2", st.Completed)
 	}
 }
+
+// replyFirstEndpoint wraps a client endpoint so a request multicast returns
+// only after the gateway has handled every target's reply — the schedule in
+// which all replies beat the dispatch bookkeeping, made deterministic.
+type replyFirstEndpoint struct {
+	transport.Endpoint
+	recv    chan transport.Message
+	handled chan wire.SeqNo
+}
+
+func newReplyFirstEndpoint(inner transport.Endpoint) *replyFirstEndpoint {
+	e := &replyFirstEndpoint{
+		Endpoint: inner,
+		recv:     make(chan transport.Message),
+		// Room for every reply the test's single call draws, so the
+		// forwarder never waits on a multicast that is not listening.
+		handled: make(chan wire.SeqNo, 16),
+	}
+	go func() {
+		defer close(e.recv)
+		for msg := range inner.Recv() {
+			e.recv <- msg
+			if r, ok := msg.Payload.(wire.Response); ok {
+				// The receive loop handles one message at a time, so it
+				// takes this foreign reply only once it has finished
+				// handling r.
+				e.recv <- transport.Message{Payload: wire.Response{Client: "someone-else"}}
+				e.handled <- r.Seq
+			}
+		}
+	}()
+	return e
+}
+
+func (e *replyFirstEndpoint) Recv() <-chan transport.Message { return e.recv }
+
+func (e *replyFirstEndpoint) SendMulticast(to []transport.Addr, payload any) error {
+	if err := transport.Multicast(e.Endpoint, to, payload); err != nil {
+		return err
+	}
+	req, ok := payload.(wire.Request)
+	if !ok {
+		return nil
+	}
+	for n := 0; n < len(to); {
+		if <-e.handled == req.Seq {
+			n++
+		}
+	}
+	return nil
+}
+
+// TestRepliesBeforeDispatchBookkeeping is the regression test for the
+// dispatch race: when every reply is handled before the multicast returns,
+// Call must still deliver the payload, and each reply must still leave its
+// gateway-delay sample in the replica's T window.
+func TestRepliesBeforeDispatchBookkeeping(t *testing.T) {
+	f := newFixture(t, 2, nil)
+	inner, err := f.net.Listen("client:c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewTimingFaultHandler(newReplyFirstEndpoint(inner), Config{
+		Client: "c1", Service: "svc",
+		QoS:            wire.QoS{Deadline: 500 * ms, MinProbability: 0.9},
+		StaticReplicas: f.static(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Close)
+
+	out, err := h.Call(context.Background(), "m", []byte("hello"))
+	if err != nil {
+		t.Fatalf("Call on a healthy cluster: %v", err)
+	}
+	if len(out) == 0 {
+		t.Fatal("empty reply")
+	}
+	for id := range f.replicas {
+		snap, err := h.sched.Repository().SnapshotOne(id, "m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.GatewayDelays) != 1 {
+			t.Errorf("replica %s T window = %v, want the call's one td sample", id, snap.GatewayDelays)
+		}
+	}
+}

@@ -1,12 +1,12 @@
 package transport
 
-// Hand-rolled binary codec for the internal/wire message shapes.
+// Hand-rolled binary codec for the internal/wire message shapes: the one
+// codec on the wire.
 //
-// gob is self-describing: every frame re-transmits type definitions, field
-// names cost bytes, and both directions allocate (reflection, buffer copies,
-// interface boxing). On the decision path the codec is the last per-request
-// allocator, so the wire messages — eleven fixed shapes — get a fixed binary
-// layout instead:
+// On the decision path the codec is the last per-request allocator, so the
+// wire messages — eleven fixed shapes — get a fixed binary layout instead of
+// a self-describing encoding that re-transmits type definitions, pays bytes
+// for field names and allocates through reflection in both directions:
 //
 //	frame  := len(4, big-endian) body
 //	body   := magic(0xAB) version(0x02) msgType(1) from(str) fields…
@@ -22,20 +22,17 @@ package transport
 // encoding is deterministic — no maps, no optional fields — so a decoded
 // message re-encodes byte-exactly (fenced by FuzzBinaryRoundTrip).
 //
-// Version negotiation: the magic byte 0xAB cannot begin a gob stream (gob
-// frames start with a uvarint byte count: one byte in 0x01–0x7F, or a
-// negative-length marker 0xF8–0xFF), so a receiver sniffs byte 0 of the body
-// and routes to this codec or the gob fallback — a mixed-version rollout
-// keeps working in both directions. An unknown version or message type is a
-// versioned error, never a panic; every length is bounds-checked against the
-// remaining body before use.
+// Versioning: byte 0 of every body is the magic 0xAB and byte 1 the codec
+// version. A body with any other first byte, an unknown version or an
+// unknown message type is rejected with an error, never a panic; every
+// length is bounds-checked against the remaining body before use.
 //
 // Payload []byte fields decode zero-copy: they alias the received frame
 // buffer, which the read loop allocates per frame and never reuses.
 //
 // Times travel as UnixNano, so the monotonic reading and location are
-// dropped (gob does the same for monotonic) and representable times are
-// limited to years 1678–2262 — far beyond any transport timestamp.
+// dropped and representable times are limited to years 1678–2262 — far
+// beyond any transport timestamp.
 
 import (
 	"encoding/binary"
@@ -48,11 +45,10 @@ import (
 )
 
 const (
-	binMagic = 0xAB // body[0]: unreachable as a gob first byte, see package comment
+	binMagic = 0xAB // body[0] of every frame
 	// binVersion 0x02: Request grew Stamp, PerfReport grew OrderedTail and
 	// CaughtUp, and the ordered-mode StateRequest/StateChunk frames joined
-	// the codec. A 0x01 peer's frames are rejected with a versioned error
-	// and both sides fall back to gob, which tolerates missing fields.
+	// the codec. A 0x01 peer's frames are rejected with a versioned error.
 	binVersion = 0x02 // body[1]: bumped on any layout change
 )
 
@@ -147,7 +143,7 @@ func appendDigest(b []byte, d wire.WindowDigest) []byte {
 
 // appendBinaryBody appends the binary body for one known wire message,
 // reporting false (buf unchanged) for payload types the codec does not
-// cover — those take the gob fallback.
+// cover.
 func appendBinaryBody(buf []byte, from Addr, payload any) ([]byte, bool) {
 	var typ byte
 	switch payload.(type) {
@@ -400,12 +396,15 @@ func (r *binReader) digest() wire.WindowDigest {
 	}
 }
 
-// decodeBinaryBody decodes one binary-codec body (body[0] is known to be
-// binMagic). Unknown versions and message types return versioned errors so a
+// decodeBinaryBody decodes one frame body. A missing magic, an unknown
+// version or an unknown message type returns an error, so a foreign or
 // newer peer's frames are rejected loudly, not mis-parsed.
 func decodeBinaryBody(body []byte) (envelope, error) {
 	if len(body) < 3 {
 		return envelope{}, fmt.Errorf("transport: binary frame truncated at %d bytes", len(body))
+	}
+	if body[0] != binMagic {
+		return envelope{}, fmt.Errorf("transport: frame starts with 0x%02x, not the codec magic 0x%02x", body[0], binMagic)
 	}
 	if body[1] != binVersion {
 		return envelope{}, fmt.Errorf("transport: unsupported binary codec version %d (this build speaks %d)", body[1], binVersion)

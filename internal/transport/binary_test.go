@@ -1,13 +1,12 @@
 package transport
 
 // Fences for the binary codec: byte-exact round trips for every wire message
-// type, cross-compatibility with gob frames in both directions, versioned
-// rejection of foreign frames, and no panics on truncated or corrupt input.
+// type, rejection of non-wire payloads and foreign frames, versioned
+// rejection of newer frames, and no panics on truncated or corrupt input.
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"reflect"
 	"testing"
 	"time"
@@ -85,30 +84,6 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 			}
 			if !bytes.Equal(frame, again) {
 				t.Errorf("re-encode not byte-exact:\n got %x\nwant %x", again, frame)
-			}
-		})
-	}
-}
-
-// TestBinaryDecodesGobFrames is the backward leg of cross-compatibility: a
-// frame produced by an old, gob-only peer must decode to the same message
-// through the sniffing decoder.
-func TestBinaryDecodesGobFrames(t *testing.T) {
-	for _, tc := range binaryCodecCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			frame, err := encodeGobFrame("old-peer", tc.payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if frame[4] == binMagic {
-				t.Fatal("gob frame unexpectedly starts with the binary magic")
-			}
-			env, err := decodeFrame(bytes.NewReader(frame))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if env.From != "old-peer" || !reflect.DeepEqual(env.Payload, tc.payload) {
-				t.Errorf("gob frame decoded to %q %#v", env.From, env.Payload)
 			}
 		})
 	}
@@ -196,28 +171,29 @@ func TestBinaryTruncationNeverPanics(t *testing.T) {
 	}
 }
 
-// codecTestExtra is a payload type outside internal/wire, for the gob
-// fallback test.
+// codecTestExtra is a payload type outside internal/wire.
 type codecTestExtra struct{ N int }
 
-func init() { gob.Register(codecTestExtra{}) }
-
-// TestGobFallbackForUnknownPayload: payload types the binary codec does not
-// cover still travel via gob.
-func TestGobFallbackForUnknownPayload(t *testing.T) {
-	frame, err := encodeFrame("a", codecTestExtra{N: 7})
+// TestCodecRejectsForeignFrames: the binary codec is the only codec, so a
+// payload outside the wire types fails to encode, and a body that does not
+// start with the codec magic fails to decode — with an error, not a panic.
+func TestCodecRejectsForeignFrames(t *testing.T) {
+	if _, err := encodeFrame("a", codecTestExtra{N: 7}); err == nil {
+		t.Error("payload outside the wire types encoded")
+	}
+	frame, err := encodeFrame("a", wire.Subscribe{Client: "c", Service: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frame[4] == binMagic {
-		t.Fatal("unknown payload type took the binary codec")
-	}
-	env, err := decodeFrame(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := env.Payload.(codecTestExtra); !ok || got.N != 7 {
-		t.Errorf("payload = %#v", env.Payload)
+	body := append([]byte(nil), frame[4:]...)
+	for b := 0; b < 256; b++ {
+		if b == binMagic {
+			continue
+		}
+		body[0] = byte(b)
+		if _, err := decodeFrame(bytes.NewReader(reframe(body))); err == nil {
+			t.Errorf("body starting 0x%02x decoded", b)
+		}
 	}
 }
 
@@ -261,8 +237,8 @@ func TestMulticastEncodesOnce(t *testing.T) {
 	}
 }
 
-// BenchmarkBinaryEncode / BenchmarkGobEncode (and the decode pair) record
-// the codec comparison quoted in README: same Request, both codec legs.
+// BenchmarkBinaryEncode and BenchmarkBinaryDecode time the codec on the
+// Request quoted in README.
 func benchRequest() wire.Request {
 	return wire.Request{Client: "c", Seq: 1, Service: "svc", Method: "get", Payload: make([]byte, 128), SentAt: time.Unix(0, 1754700000123456789)}
 }
@@ -280,36 +256,8 @@ func BenchmarkBinaryEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkGobEncode(b *testing.B) {
-	req := benchRequest()
-	frame, _ := encodeGobFrame("from", req)
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := encodeGobFrame("from", req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBinaryDecode(b *testing.B) {
 	frame, err := encodeFrame("from", benchRequest())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := decodeFrame(bytes.NewReader(frame)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGobDecode(b *testing.B) {
-	frame, err := encodeGobFrame("from", benchRequest())
 	if err != nil {
 		b.Fatal(err)
 	}

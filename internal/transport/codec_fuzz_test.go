@@ -56,8 +56,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			return
 		}
 		// A successful decode must produce a well-typed envelope that
-		// re-encodes (unknown payload types cannot appear: gob rejects
-		// unregistered types).
+		// re-encodes (the decoder only yields the wire types the encoder
+		// covers).
 		if env.Payload == nil {
 			return
 		}
@@ -118,10 +118,8 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 }
 
 // FuzzStateTransferRoundTrip fences the ordered-mode frames — stamped
-// requests, StateRequest, StateChunk — through both codec legs: the binary
-// layout must round-trip byte-exactly, and the gob fallback (what a
-// pre-binary or mixed-version peer would send) must decode to the same
-// values the binary leg produces.
+// requests, StateRequest, StateChunk — through the codec: the binary layout
+// must round-trip byte-exactly.
 func FuzzStateTransferRoundTrip(f *testing.F) {
 	f.Add("r1", "svc", uint64(1), uint64(9), []byte("snap"), "client", uint64(4), "put", []byte("v"), true, false, "")
 	f.Add("", "", uint64(0), uint64(0), []byte{}, "", uint64(0), "", []byte{}, false, true, "pruned")
@@ -143,7 +141,6 @@ func FuzzStateTransferRoundTrip(f *testing.F) {
 				Perf: wire.PerfReport{ServiceTime: time.Duration(index), QueueDelay: time.Duration(stamp), QueueLength: 1, OrderedTail: index, CaughtUp: done}},
 		}
 		for _, in := range msgs {
-			// Binary leg: byte-exact round trip.
 			frame, err := encodeFrame(Addr(replica), in)
 			if err != nil {
 				if len(payload)+len(snap) > maxFrameSize-4096 {
@@ -162,34 +159,8 @@ func FuzzStateTransferRoundTrip(f *testing.F) {
 			if !bytes.Equal(frame, again) {
 				t.Errorf("%T: binary re-encode not byte-exact", in)
 			}
-			// Gob fallback leg: an old peer's frame decodes to the same value
-			// the binary leg produced.
-			gobFrame, err := encodeGobFrame(Addr(replica), in)
-			if err != nil {
-				t.Fatalf("gob encode %T: %v", in, err)
-			}
-			gobEnv, err := decodeFrame(bytes.NewReader(gobFrame))
-			if err != nil {
-				t.Fatalf("gob decode %T: %v", in, err)
-			}
-			b1, b2 := mustReencode(t, env.Payload), mustReencode(t, gobEnv.Payload)
-			if !bytes.Equal(b1, b2) {
-				t.Errorf("%T: gob leg decoded differently from binary leg", in)
-			}
 		}
 	})
-}
-
-// mustReencode canonicalizes a payload through the binary encoder so two
-// decoded values can be compared structurally without reflect.DeepEqual's
-// nil-vs-empty-slice pitfalls.
-func mustReencode(t *testing.T, payload any) []byte {
-	t.Helper()
-	b, err := encodeFrame("cmp", payload)
-	if err != nil {
-		t.Fatalf("canonical re-encode %T: %v", payload, err)
-	}
-	return b
 }
 
 // FuzzEncodeDecodeRoundTrip checks that any request payload survives the

@@ -35,11 +35,10 @@ const (
 var ErrBackpressure = errors.New("transport: send queue full")
 
 // TCP is a Network whose endpoints listen on real sockets and exchange
-// length-prefixed frames (binary codec for wire messages, gob fallback —
-// see codec.go and binary.go). Sends are asynchronous: each
-// destination gets its own bounded queue and writer goroutine, so a slow,
-// partitioned, or dead peer never blocks callers or traffic to other
-// destinations. Connections are cached per destination, written with a
+// length-prefixed frames in the binary codec (see codec.go and binary.go).
+// Sends are asynchronous: each destination gets its own bounded queue and
+// writer goroutine, so a slow, partitioned, or dead peer never blocks
+// callers or traffic to other destinations. Connections are cached per destination, written with a
 // deadline, and re-dialed on failure with capped exponential backoff.
 type TCP struct {
 	reg *metrics.Registry

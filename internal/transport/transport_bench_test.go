@@ -55,7 +55,7 @@ func BenchmarkInMemRoundTrip(b *testing.B) {
 }
 
 // BenchmarkTCPRoundTrip measures a full loopback socket round trip through
-// the gob codec — the E0 floor's transport component.
+// the binary codec — the E0 floor's transport component.
 func BenchmarkTCPRoundTrip(b *testing.B) {
 	net := NewTCP()
 	a, err := net.Listen("127.0.0.1:0")
