@@ -64,6 +64,53 @@ func TestScheduleCachedPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestScheduleChurnAllocs fences the live decision path, where every reply
+// moves a window: one performance report plus one gateway delay on one
+// replica, then schedule → release → forget. The snapshot re-copies only the
+// changed replica and the predictor rebuilds only its table, so the
+// allocations per cycle are a small constant that must not grow with the
+// pool size.
+func TestScheduleChurnAllocs(t *testing.T) {
+	measure := func(n int) float64 {
+		repo := variedRepo(t, n)
+		s, err := NewScheduler(Config{
+			Service:            "svc",
+			QoS:                wire.QoS{Deadline: 60 * ms, MinProbability: 0.95},
+			Repository:         repo,
+			CompensateOverhead: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t0 := time.Now()
+		i := 0
+		cycle := func() {
+			i++
+			repo.RecordPerf("a", "", wire.PerfReport{ServiceTime: time.Duration(4+i%7) * ms, QueueDelay: time.Duration(i%3) * ms}, t0)
+			repo.RecordGatewayDelay("a", time.Duration(1+i%2)*ms)
+			d, err := s.Schedule(t0, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := d.Seq
+			d.Release()
+			s.Forget(seq)
+		}
+		for j := 0; j < 20; j++ {
+			cycle() // warm scratch free lists, memo slots and window buffers
+		}
+		return testing.AllocsPerRun(200, cycle)
+	}
+	small, large := measure(7), measure(64)
+	t.Logf("allocations per churned cycle: %.1f at 7 replicas, %.1f at 64", small, large)
+	if small != large {
+		t.Errorf("churned cycle allocates %.1f times at 7 replicas but %.1f at 64; want equal", small, large)
+	}
+	if small > 10 {
+		t.Errorf("churned cycle allocates %.1f times, want at most 10", small)
+	}
+}
+
 // TestReferencePathMatchesCachedPath checks decision-for-decision equivalence
 // between the zero-alloc cached path and the reference path (private
 // snapshots, fresh tables, per-request sort): same targets, bit-identical

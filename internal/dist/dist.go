@@ -16,6 +16,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -291,6 +292,91 @@ func (p *PMF) CDFTable() (bins []int64, cdf []float64) {
 		cdf[i] = acc
 	}
 	return bins, cdf
+}
+
+// CountsScratch is reusable working memory for ConvolveCountsCDF. The zero
+// value is ready to use; buffers grow to the largest input seen.
+type CountsScratch struct {
+	p, q, acc []float64
+}
+
+// ConvolveCountsCDF returns the CDF table of the convolution of two
+// histograms, FromCounts(p)⊛FromCounts(q) (bins strictly increasing, counts
+// positive, both at one resolution), without building either pmf. It repeats
+// the float operations of FromCounts → ConvolveDense → CDFTable in the same
+// order, so the table is bit-identical to that route's, but the input
+// probabilities and the dense accumulator live in sc and only the returned
+// bins and cdf are allocated. ok is false — and nothing is allocated — when
+// an input or the product has more than maxSupport support points (the
+// caller's bounding would rebin), the output range exceeds maxDenseCells, or
+// the histograms are malformed; the caller then takes the general route.
+func ConvolveCountsCDF(pBins []int64, pCounts []int, qBins []int64, qCounts []int, maxSupport int, sc *CountsScratch) (bins []int64, cdf []float64, ok bool) {
+	if len(pBins) == 0 || len(qBins) == 0 || len(pBins) > maxSupport || len(qBins) > maxSupport {
+		return nil, nil, false
+	}
+	var good bool
+	if sc.p, good = countProbs(sc.p, pBins, pCounts); !good {
+		return nil, nil, false
+	}
+	if sc.q, good = countProbs(sc.q, qBins, qCounts); !good {
+		return nil, nil, false
+	}
+	lo := pBins[0] + qBins[0]
+	hi := pBins[len(pBins)-1] + qBins[len(qBins)-1]
+	if hi-lo+1 > maxDenseCells {
+		return nil, nil, false
+	}
+	acc := slices.Grow(sc.acc[:0], int(hi-lo+1))[:hi-lo+1]
+	clear(acc)
+	sc.acc = acc
+	for i, bi := range pBins {
+		pi := sc.p[i]
+		row := bi - lo
+		for j, bj := range qBins {
+			acc[row+bj] += pi * sc.q[j]
+		}
+	}
+	support := 0
+	for _, v := range acc {
+		if v > 0 {
+			support++
+		}
+	}
+	if support > maxSupport {
+		return nil, nil, false
+	}
+	bins = make([]int64, 0, support)
+	cdf = make([]float64, 0, support)
+	var run float64
+	for k, v := range acc {
+		if v > 0 {
+			bins = append(bins, lo+int64(k))
+			run += v
+			cdf = append(cdf, run)
+		}
+	}
+	return bins, cdf, true
+}
+
+// countProbs writes count/total into buf, as FromCounts computes its
+// probabilities; ok is false on input FromCounts would reject.
+func countProbs(buf []float64, bins []int64, counts []int) ([]float64, bool) {
+	if len(bins) != len(counts) {
+		return buf, false
+	}
+	var total int
+	for i, c := range counts {
+		if c <= 0 || (i > 0 && bins[i] <= bins[i-1]) {
+			return buf, false
+		}
+		total += c
+	}
+	buf = slices.Grow(buf[:0], len(counts))[:len(counts)]
+	n := float64(total)
+	for i, c := range counts {
+		buf[i] = float64(c) / n
+	}
+	return buf, true
 }
 
 // CDFLookup evaluates a (bins, cdf) table produced by CDFTable at bin index

@@ -10,6 +10,11 @@ package experiment
 //	concurrent  the optimized path under GOMAXPROCS concurrent callers,
 //	            exercising the sharded pending table
 //
+// Two allocation counts go with them: the cached path on frozen windows,
+// which must not allocate, and the churned path, where one performance report
+// lands on one replica before each decision as on a live gateway, which must
+// stay within a small constant (churnAllocsLimit).
+//
 // Two ratios summarize the result. SpeedupVsReference is the per-decision
 // cost the optimization removed; it is machine-independent enough to fence
 // in CI. ScaleupVsSingle is the concurrency scaling across the sharded
@@ -78,6 +83,7 @@ type ThroughputResult struct {
 	Optimized       ThroughputPhase `json:"optimized"`
 	Concurrent      ThroughputPhase `json:"concurrent"`
 	CachedAllocsOp  float64         `json:"cached_allocs_per_op"`
+	ChurnAllocsOp   float64         `json:"churn_allocs_per_op"`
 	SpeedupVsRef    float64         `json:"speedup_vs_reference"`
 	ScaleupVsSingle float64         `json:"scaleup_vs_single"`
 }
@@ -210,6 +216,44 @@ func measureCachedAllocs(cfg ThroughputConfig) (float64, error) {
 	return allocs, cycleErr
 }
 
+// churnAllocsLimit bounds the allocations of one churned decision cycle: the
+// snapshot re-copies the one changed replica (one buffer per element type
+// plus the slice) and the predictor rebuilds its one table, whatever the pool
+// size.
+const churnAllocsLimit = 10
+
+// measureChurnAllocs reports heap allocations per churned decision cycle:
+// one performance report and one gateway delay on one replica, then the
+// decision cycle, so the snapshot cache and that replica's memo slot miss
+// every time, as they do under live traffic.
+func measureChurnAllocs(cfg ThroughputConfig) (float64, error) {
+	s, err := newThroughputScheduler(cfg, false)
+	if err != nil {
+		return 0, err
+	}
+	repo := s.Repository()
+	id := repo.Replicas()[0]
+	now := time.Now()
+	i := 0
+	var cycleErr error
+	cycle := func() {
+		i++
+		repo.RecordPerf(id, "", wire.PerfReport{
+			ServiceTime: time.Duration(80+i%40) * time.Millisecond,
+			QueueDelay:  time.Duration(i%25) * time.Millisecond,
+		}, now)
+		repo.RecordGatewayDelay(id, time.Duration(i%3)*time.Millisecond)
+		if err := decisionCycle(s, now); err != nil {
+			cycleErr = err
+		}
+	}
+	for j := 0; j < 200; j++ {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(200, cycle)
+	return allocs, cycleErr
+}
+
 // RunThroughput measures the three phases and derives the headline ratios.
 func RunThroughput(cfg ThroughputConfig) (*ThroughputResult, error) {
 	if cfg.Replicas <= 0 || cfg.Requests <= 0 {
@@ -235,6 +279,10 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	churn, err := measureChurnAllocs(cfg)
+	if err != nil {
+		return nil, err
+	}
 	res := &ThroughputResult{
 		Replicas:       cfg.Replicas,
 		WindowSize:     cfg.WindowSize,
@@ -245,6 +293,7 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputResult, error) {
 		Optimized:      opt,
 		Concurrent:     conc,
 		CachedAllocsOp: allocs,
+		ChurnAllocsOp:  churn,
 	}
 	if ref.DecisionsPerSec > 0 {
 		res.SpeedupVsRef = opt.DecisionsPerSec / ref.DecisionsPerSec
@@ -258,9 +307,10 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputResult, error) {
 // ThroughputFence compares a fresh result against a committed baseline and
 // returns an error on regression. Absolute ns vary across machines, so the
 // fence checks shape, not magnitude: the reference-to-optimized speedup must
-// hold (within 15%), the cached path must stay allocation-free, and the tail
-// must not detach from the median (p999/p50 amplification bounded by 3× the
-// baseline's — timer noise makes tighter absolute tail fences flaky).
+// hold (within 15%), the cached path must stay allocation-free, the churned
+// path must stay within churnAllocsLimit allocations per decision, and the
+// tail must not detach from the median (p999/p50 amplification bounded by 3×
+// the baseline's — timer noise makes tighter absolute tail fences flaky).
 func ThroughputFence(cur, base *ThroughputResult) error {
 	if base == nil {
 		return fmt.Errorf("experiment: throughput fence needs a baseline")
@@ -271,6 +321,9 @@ func ThroughputFence(cur, base *ThroughputResult) error {
 	}
 	if cur.CachedAllocsOp > 0 {
 		return fmt.Errorf("experiment: cached decision path allocates %.1f times per op, want 0", cur.CachedAllocsOp)
+	}
+	if cur.ChurnAllocsOp > churnAllocsLimit {
+		return fmt.Errorf("experiment: churned decision path allocates %.1f times per op, limit %d", cur.ChurnAllocsOp, churnAllocsLimit)
 	}
 	curAmp := tailAmplification(cur.Optimized)
 	baseAmp := tailAmplification(base.Optimized)
@@ -295,9 +348,9 @@ func ThroughputTable(r *ThroughputResult) *Table {
 			r.Replicas, r.WindowSize, r.GOMAXPROCS),
 		Columns: []string{"phase", "callers", "decisions_per_sec", "mean_ns", "p50_ns", "p99_ns", "p999_ns"},
 		Notes: []string{
-			fmt.Sprintf("speedup_vs_reference %.2fx, scaleup_vs_single %.2fx, cached allocs/op %.1f",
-				r.SpeedupVsRef, r.ScaleupVsSingle, r.CachedAllocsOp),
-			"one op = Schedule + Release + Forget; reference = seed-style decision path",
+			fmt.Sprintf("speedup_vs_reference %.2fx, scaleup_vs_single %.2fx, cached allocs/op %.1f, churned allocs/op %.1f",
+				r.SpeedupVsRef, r.ScaleupVsSingle, r.CachedAllocsOp, r.ChurnAllocsOp),
+			"one op = Schedule + Release + Forget; reference = seed-style decision path; churned = one perf report on one replica before each op",
 		},
 	}
 	row := func(name string, p ThroughputPhase) []string {

@@ -37,6 +37,9 @@ func TestRunThroughput(t *testing.T) {
 	if res.CachedAllocsOp != 0 {
 		t.Errorf("cached path allocates %.1f per op, want 0", res.CachedAllocsOp)
 	}
+	if res.ChurnAllocsOp <= 0 || res.ChurnAllocsOp > churnAllocsLimit {
+		t.Errorf("churned path allocates %.1f per op, want in (0, %d]", res.ChurnAllocsOp, churnAllocsLimit)
+	}
 	// Round trip through the JSON baseline format.
 	blob, err := MarshalThroughput(res)
 	if err != nil {
@@ -76,6 +79,15 @@ func TestThroughputFenceCatchesRegressions(t *testing.T) {
 	leaky.CachedAllocsOp = 2
 	if err := ThroughputFence(&leaky, base); err == nil {
 		t.Error("alloc regression not caught")
+	}
+	churny := *cur
+	churny.ChurnAllocsOp = churnAllocsLimit + 1
+	if err := ThroughputFence(&churny, base); err == nil {
+		t.Error("churned-path alloc regression not caught")
+	}
+	churny.ChurnAllocsOp = churnAllocsLimit
+	if err := ThroughputFence(&churny, base); err != nil {
+		t.Errorf("churned path at the limit rejected: %v", err)
 	}
 	tail := *cur
 	tail.Optimized.P999Ns = 20000 // p999/p50 = 20 vs baseline 5, above 3x

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"time"
 
@@ -427,37 +428,44 @@ func (h *TimingFaultHandler) callOnce(ctx context.Context, method string, payloa
 	if err != nil {
 		return nil, fmt.Errorf("gateway: scheduling: %w", err)
 	}
-	h.cfg.Trace.Record(trace.Event{
-		At: t0.Sub(h.epoch), Kind: trace.KindSchedule, Client: h.cfg.Client,
-		Seq: d.Seq, Targets: d.Targets, Value: d.Predicted, Duration: d.Overhead,
-	})
+	// d.Targets is the scheduler's pooled buffer: hand it back when the call
+	// returns, so the next decision reuses it instead of allocating.
+	defer d.Release()
+	seq := d.Seq
+	if h.cfg.Trace.Enabled() {
+		// The trace ring outlives the call, so it gets its own copy.
+		h.cfg.Trace.Record(trace.Event{
+			At: t0.Sub(h.epoch), Kind: trace.KindSchedule, Client: h.cfg.Client,
+			Seq: seq, Targets: slices.Clone(d.Targets), Value: d.Predicted, Duration: d.Overhead,
+		})
+	}
 
 	waiter := make(chan wire.Response, 1)
 	h.mu.Lock()
-	h.waiters[d.Seq] = waiter
+	h.waiters[seq] = waiter
 	h.mu.Unlock()
 	defer func() {
 		h.mu.Lock()
-		delete(h.waiters, d.Seq)
+		delete(h.waiters, seq)
 		h.mu.Unlock()
 	}()
 
 	req := wire.Request{
 		Client:  h.cfg.Client,
-		Seq:     d.Seq,
+		Seq:     seq,
 		Service: h.cfg.Service,
 		Method:  method,
 		Payload: payload,
 		SentAt:  time.Now(),
 	}
-	var addrs []transport.Addr
+	addrs := make([]transport.Addr, 0, len(d.Targets))
 	for _, id := range d.Targets {
 		if a, ok := h.resolve(id); ok {
 			addrs = append(addrs, a)
 		}
 	}
 	if len(addrs) == 0 {
-		h.sched.Forget(d.Seq)
+		h.sched.Forget(seq)
 		return nil, fmt.Errorf("gateway: no reachable replicas among %v", d.Targets)
 	}
 	t1 := time.Now()
@@ -469,7 +477,7 @@ func (h *TimingFaultHandler) callOnce(ctx context.Context, method string, payloa
 	}
 	// Record t1 before the multicast: every reply can be handled before
 	// Multicast returns, and OnReply needs the pending entry and its t1.
-	if err := h.sched.Dispatched(d.Seq, t1); err != nil {
+	if err := h.sched.Dispatched(seq, t1); err != nil {
 		return nil, fmt.Errorf("gateway: %w", err)
 	}
 	if err := transport.Multicast(h.ep, addrs, req); err != nil {
@@ -482,7 +490,7 @@ func (h *TimingFaultHandler) callOnce(ctx context.Context, method string, payloa
 		// Partial delivery is fine — that's what redundancy is for — but
 		// total failure with one target means the call cannot proceed.
 		if len(addrs) == 1 {
-			h.sched.Forget(d.Seq)
+			h.sched.Forget(seq)
 			return nil, fmt.Errorf("gateway: sending request: %w", err)
 		}
 	}
@@ -492,7 +500,7 @@ func (h *TimingFaultHandler) callOnce(ctx context.Context, method string, payloa
 	// straggler shows up.
 	qos := h.sched.QoS()
 	deadlineTimer := time.AfterFunc(qos.Deadline-time.Since(t0), func() {
-		if v := h.sched.OnDeadlineExpired(d.Seq); v != nil && h.cfg.OnViolation != nil {
+		if v := h.sched.OnDeadlineExpired(seq); v != nil && h.cfg.OnViolation != nil {
 			h.cfg.OnViolation(*v)
 		}
 	})
@@ -501,7 +509,7 @@ func (h *TimingFaultHandler) callOnce(ctx context.Context, method string, payloa
 	// Schedule eventual cleanup of the tracking state so requests whose
 	// replicas crashed don't accumulate. Forget is a no-op if every reply
 	// already arrived.
-	time.AfterFunc(qos.Deadline+forgetGrace, func() { h.sched.Forget(d.Seq) })
+	time.AfterFunc(qos.Deadline+forgetGrace, func() { h.sched.Forget(seq) })
 
 	maxWait := h.cfg.MaxWait
 	if maxWait <= 0 {

@@ -1,9 +1,12 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -591,6 +594,54 @@ func TestTraceRecordsRealGateway(t *testing.T) {
 		if len(e.Targets) == 0 {
 			t.Error("schedule event without targets")
 		}
+	}
+}
+
+// TestTraceKeepsScheduleTargets: callOnce hands the decision's target buffer
+// back to the scheduler when the call returns, and the next call reuses it.
+// A recorded schedule event must keep its own copy: its targets read the same
+// after later calls as they did when recorded (the JSONL sink's record-time
+// copy), and no two events share a backing array.
+func TestTraceKeepsScheduleTargets(t *testing.T) {
+	var sink bytes.Buffer
+	rec := trace.New(trace.WithJSONLSink(&sink))
+	f := newFixture(t, 4, stats.Exponential{MeanDelay: 4 * ms})
+	h := f.handler(Config{
+		Client: "traced", Service: "svc",
+		QoS:   wire.QoS{Deadline: 15 * ms, MinProbability: 0.9},
+		Trace: rec,
+	})
+	for i := 0; i < 20; i++ {
+		if _, err := h.Call(context.Background(), "", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recorded := make(map[wire.SeqNo][]wire.ReplicaID)
+	dec := json.NewDecoder(&sink)
+	for {
+		var e trace.Event
+		if err := dec.Decode(&e); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if e.Kind == trace.KindSchedule {
+			recorded[e.Seq] = e.Targets
+		}
+	}
+	events := rec.Filter(trace.KindSchedule)
+	if len(events) != 20 {
+		t.Fatalf("schedule events = %d, want 20", len(events))
+	}
+	arrays := make(map[*wire.ReplicaID]wire.SeqNo)
+	for _, e := range events {
+		if fmt.Sprint(e.Targets) != fmt.Sprint(recorded[e.Seq]) {
+			t.Errorf("seq %d: targets read %v after later calls, %v when recorded", e.Seq, e.Targets, recorded[e.Seq])
+		}
+		if other, dup := arrays[&e.Targets[0]]; dup {
+			t.Errorf("seq %d and seq %d share one targets array", other, e.Seq)
+		}
+		arrays[&e.Targets[0]] = e.Seq
 	}
 }
 

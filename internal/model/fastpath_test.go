@@ -138,7 +138,7 @@ func TestThreeFactorEquivalence(t *testing.T) {
 		repo := randomWANRepo(rng, replicas, l, tWin, ms)
 		deadline := time.Duration(rng.Intn(250)) * ms
 		for _, s := range repo.Snapshot("") {
-			if !distributionalT(s) {
+			if !distributionalT(&s) {
 				t.Fatalf("trial %d: T window not distributional (%d samples)", trial, len(s.GatewayDelays))
 			}
 			want, err := ref.Probability(s, deadline)
@@ -166,8 +166,9 @@ func TestThreeFactorEquivalence(t *testing.T) {
 
 // TestThreeFactorTOnlyMutation mutates ONLY the T window between
 // evaluations: the extended memo key (tVer) must invalidate the cached
-// three-factor table without FlushCache, and the re-built fast result must
-// track the reference.
+// three-factor table without FlushCache, the rebuilt table must replace the
+// replica's one memo slot rather than add a second, and the re-built fast
+// result must track the reference.
 func TestThreeFactorTOnlyMutation(t *testing.T) {
 	rng := stats.NewRand(31)
 	ref := NewPredictor(WithReferencePath())
@@ -206,8 +207,8 @@ func TestThreeFactorTOnlyMutation(t *testing.T) {
 		repo.RecordGatewayDelay("replica-00", 120*ms)
 	}
 	after := check("after T-only mutation")
-	if got := fast.CacheSize(); got != 2 {
-		t.Fatalf("CacheSize() = %d after T mutation, want 2 (new tVer entry, no flush)", got)
+	if got := fast.CacheSize(); got != 1 {
+		t.Fatalf("CacheSize() = %d after T mutation, want 1 (slot replaced in place, no flush)", got)
 	}
 	if !(after < before) {
 		t.Fatalf("F(%v) did not drop after T shifted to 120ms: before %v, after %v", deadline, before, after)
@@ -239,31 +240,52 @@ func TestFastPathEquivalenceCoarseRebin(t *testing.T) {
 	}
 }
 
+// TestCacheHitAndInvalidation checks the memo's three behaviours: an
+// unchanged window is served from its slot without rebuilding (no
+// allocation), a window mutation rebuilds the table in the same slot (one
+// slot per (replica, method), whatever the number of versions seen) and the
+// rebuilt F_Ri(t) equals the reference path's, and FlushCache empties it.
 func TestCacheHitAndInvalidation(t *testing.T) {
 	rng := stats.NewRand(3)
 	repo := randomRepo(rng, 2, 20, ms)
 	p := NewPredictor()
-	snaps := repo.Snapshot("")
-	if _, _, err := p.ProbabilityTable(snaps, 100*ms); err != nil {
-		t.Fatal(err)
+	ref := NewPredictor(WithReferencePath())
+	table := make([]ReplicaProbability, 0, 2)
+	evaluate := func(snaps []repository.ReplicaSnapshot) []ReplicaProbability {
+		t.Helper()
+		got, _, err := p.ProbabilityTableInto(snaps, 100*ms, table[:0], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
+	snaps := repo.Snapshot("")
+	evaluate(snaps)
 	if got := p.CacheSize(); got != 2 {
 		t.Fatalf("CacheSize() = %d after first table, want 2", got)
 	}
-	// Unchanged windows: same entries, no growth.
-	if _, _, err := p.ProbabilityTable(snaps, 150*ms); err != nil {
-		t.Fatal(err)
+	// Unchanged windows: served from the slots, nothing rebuilt.
+	if allocs := testing.AllocsPerRun(20, func() { evaluate(snaps) }); allocs != 0 {
+		t.Fatalf("re-evaluation on unchanged windows allocated %.1f times, want 0 (memo hit)", allocs)
 	}
-	if got := p.CacheSize(); got != 2 {
-		t.Fatalf("CacheSize() = %d after re-evaluation, want 2 (hit)", got)
-	}
-	// A new sample changes the window versions: new entry per touched replica.
-	repo.RecordPerf("replica-00", "", wire.PerfReport{ServiceTime: 30 * ms, QueueDelay: 5 * ms}, time.Now())
-	if _, _, err := p.ProbabilityTable(repo.Snapshot(""), 100*ms); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.CacheSize(); got != 3 {
-		t.Fatalf("CacheSize() = %d after window update, want 3", got)
+	// New samples change the window versions: each replaces replica-00's
+	// slot, and the served value follows the new window.
+	for i := 0; i < 5; i++ {
+		repo.RecordPerf("replica-00", "", wire.PerfReport{ServiceTime: time.Duration(30+40*i) * ms, QueueDelay: 5 * ms}, time.Now())
+		fresh := repo.Snapshot("")
+		got := evaluate(fresh)
+		if n := p.CacheSize(); n != 2 {
+			t.Fatalf("CacheSize() = %d after window update %d, want 2 (slot replaced)", n, i)
+		}
+		for j, s := range fresh {
+			want, err := ref.Probability(s, 100*ms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got[j].Probability-want) > 1e-12 {
+				t.Fatalf("update %d, %s: memoized F = %v, reference %v", i, s.ID, got[j].Probability, want)
+			}
+		}
 	}
 	p.FlushCache()
 	if got := p.CacheSize(); got != 0 {

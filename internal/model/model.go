@@ -18,11 +18,12 @@
 //   - a reference path that rebuilds map-backed pmfs from the raw window
 //     samples on every call (the original formulation, kept under test);
 //   - a fast path that consumes the repository's incrementally maintained
-//     bin-count histograms (dist.FromCounts), convolves over dense arrays
-//     (dist.ConvolveDense), and memoizes each replica's convolved S+W CDF
-//     table keyed by the window versions, so back-to-back requests with an
-//     unchanged window reuse the cached F_Ri(t) at the cost of two bin
-//     lookups.
+//     bin-count histograms, convolves them over a recycled dense array
+//     straight into a CDF table (dist.ConvolveCountsCDF), and memoizes each
+//     replica's table in one slot per (replica, method) keyed by the window
+//     versions, so back-to-back requests with an unchanged window reuse the
+//     cached F_Ri(t) at the cost of two bin lookups, and a changed window
+//     costs one table rebuild that replaces the slot.
 //
 // The fast path engages automatically when a snapshot carries histograms at
 // the predictor's resolution; equivalence tests pin it to the reference path
@@ -31,6 +32,7 @@ package model
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sync"
 	"time"
 
@@ -44,7 +46,7 @@ import (
 // to a coarser resolution first, bounding the (k²) convolution cost.
 const defaultMaxSupport = 4096
 
-// maxCacheEntries bounds the memoization table. Steady state needs one entry
+// maxCacheEntries bounds the memoization table. Steady state needs one slot
 // per (replica, method); the bound only matters under extreme method or
 // membership churn, where the whole table is dropped and rebuilt.
 const maxCacheEntries = 8192
@@ -54,25 +56,40 @@ const maxCacheEntries = 8192
 // only a shard's read lock. Must be a power of two.
 const cacheShardCount = 16
 
+// scratchFreeCap bounds the table-building scratch free list: one buffer set
+// per concurrent rebuild, beyond which scratch is left to the GC.
+const scratchFreeCap = 8
+
 // cacheShard is one stripe of the memoization table.
 type cacheShard struct {
 	mu sync.RWMutex
-	m  map[cacheKey]*cachedCDF
+	m  map[slotKey]memoSlot
 }
 
-// cacheKey identifies one memoized convolved distribution. Window versions
-// are globally unique and bumped on every mutation, so equal keys guarantee
-// identical window contents even across replica removal/re-addition. tVer is
-// 0 when T is a point mass (the shift-at-lookup special case: the entry
-// ignores T, so it survives T fluctuations); for a distributional T it is
-// the gateway window's version, so a T mutation invalidates the memoized
-// table without any explicit flush.
-type cacheKey struct {
+// slotKey names one memo slot: a (replica, method) pair.
+type slotKey struct {
 	replica wire.ReplicaID
 	method  string
-	sVer    uint64
-	wVer    uint64
-	tVer    uint64
+}
+
+// tableKey identifies the window contents a memoized table was built from.
+// Window versions are globally unique and bumped on every mutation, so equal
+// keys guarantee identical window contents even across replica
+// removal/re-addition. tVer is 0 when T is a point mass (the shift-at-lookup
+// special case: the table ignores T, so it survives T fluctuations); for a
+// distributional T it is the gateway window's version, so a T mutation
+// invalidates the memoized table without any explicit flush.
+type tableKey struct {
+	sVer, wVer, tVer uint64
+}
+
+// memoSlot is the one memoized table of a (replica, method). A rebuild
+// replaces the whole slot in place, so the table holds at most one entry per
+// pair however many window versions pass through it; a reader that copied
+// the previous slot keeps its (immutable) slices.
+type memoSlot struct {
+	key   tableKey
+	table cachedCDF
 }
 
 // cachedCDF is a convolved, support-bounded distribution as a CDF table:
@@ -94,14 +111,35 @@ type Predictor struct {
 	referenceOnly bool
 	cacheOff      bool
 
-	shards [cacheShardCount]cacheShard
+	shards    [cacheShardCount]cacheShard
+	shardSeed maphash.Seed
+	// scratchFree recycles the dense-convolution working memory of table
+	// rebuilds. A channel, not sync.Pool, like the scheduler's free lists:
+	// GC does not empty it, so the churned decision path's allocation count
+	// stays fixed.
+	scratchFree chan *dist.CountsScratch
 }
 
-// shardFor stripes by the service-window version: versions are globally
-// unique and monotonic, so they spread entries evenly and a struct-keyed map
-// lookup stays allocation-free (unlike sync.Map, which boxes the key).
-func (p *Predictor) shardFor(key cacheKey) *cacheShard {
-	return &p.shards[key.sVer&(cacheShardCount-1)]
+// shardFor stripes by replica ID: a struct-keyed map lookup stays
+// allocation-free (unlike sync.Map, which boxes the key).
+func (p *Predictor) shardFor(id wire.ReplicaID) *cacheShard {
+	return &p.shards[maphash.String(p.shardSeed, string(id))&(cacheShardCount-1)]
+}
+
+func (p *Predictor) getScratch() *dist.CountsScratch {
+	select {
+	case sc := <-p.scratchFree:
+		return sc
+	default:
+		return &dist.CountsScratch{}
+	}
+}
+
+func (p *Predictor) putScratch(sc *dist.CountsScratch) {
+	select {
+	case p.scratchFree <- sc:
+	default:
+	}
 }
 
 // PredictorOption configures a Predictor.
@@ -143,11 +181,13 @@ func WithoutCache() PredictorOption {
 // NewPredictor returns a configured predictor.
 func NewPredictor(opts ...PredictorOption) *Predictor {
 	p := &Predictor{
-		resolution: dist.DefaultResolution,
-		maxSupport: defaultMaxSupport,
+		resolution:  dist.DefaultResolution,
+		maxSupport:  defaultMaxSupport,
+		shardSeed:   maphash.MakeSeed(),
+		scratchFree: make(chan *dist.CountsScratch, scratchFreeCap),
 	}
 	for i := range p.shards {
-		p.shards[i].m = make(map[cacheKey]*cachedCDF)
+		p.shards[i].m = make(map[slotKey]memoSlot)
 	}
 	for _, o := range opts {
 		o(p)
@@ -172,13 +212,13 @@ func (p *Predictor) FlushCache() {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		sh.m = make(map[cacheKey]*cachedCDF)
+		sh.m = make(map[slotKey]memoSlot)
 		sh.mu.Unlock()
 	}
 }
 
-// CacheSize returns the number of memoized distributions (for tests and
-// introspection).
+// CacheSize returns the number of memo slots, one per (replica, method)
+// evaluated since the last flush (for tests and introspection).
 func (p *Predictor) CacheSize() int {
 	n := 0
 	for i := range p.shards {
@@ -196,7 +236,7 @@ func (p *Predictor) CacheSize() int {
 // for negative shifts, which the fast lookup does not model). A
 // distributional T additionally needs its own histogram — without one the
 // memo key has no T version to invalidate on.
-func (p *Predictor) fastEligible(snap repository.ReplicaSnapshot) bool {
+func (p *Predictor) fastEligible(snap *repository.ReplicaSnapshot) bool {
 	return !p.referenceOnly && !p.queueAware &&
 		snap.HasHistory &&
 		snap.Resolution == p.resolution &&
@@ -210,14 +250,14 @@ func (p *Predictor) fastEligible(snap repository.ReplicaSnapshot) bool {
 // factor); otherwise it is the paper's point mass at GatewayDelay. Both the
 // fast and reference paths branch on this same predicate, so they cannot
 // disagree about which model a snapshot gets.
-func distributionalT(snap repository.ReplicaSnapshot) bool {
+func distributionalT(snap *repository.ReplicaSnapshot) bool {
 	return len(snap.GatewayDelays) > 1
 }
 
 // gatewayPMF builds the empirical T pmf, from the incremental histogram when
 // it is usable at the predictor's resolution and from the raw samples
 // otherwise.
-func (p *Predictor) gatewayPMF(snap repository.ReplicaSnapshot) (*dist.PMF, error) {
+func (p *Predictor) gatewayPMF(snap *repository.ReplicaSnapshot) (*dist.PMF, error) {
 	if !p.referenceOnly && snap.Resolution == p.resolution && snap.GatewayHist.OK() {
 		tp, err := dist.FromCounts(p.resolution, snap.GatewayHist.Bins, snap.GatewayHist.Counts)
 		if err != nil {
@@ -235,7 +275,7 @@ func (p *Predictor) gatewayPMF(snap repository.ReplicaSnapshot) (*dist.PMF, erro
 // inputPMFs builds the S and W pmfs for a snapshot, from the incremental
 // histograms when available (O(k), no map, no sort) and from the raw samples
 // otherwise.
-func (p *Predictor) inputPMFs(snap repository.ReplicaSnapshot) (s, w *dist.PMF, err error) {
+func (p *Predictor) inputPMFs(snap *repository.ReplicaSnapshot) (s, w *dist.PMF, err error) {
 	if !p.referenceOnly && snap.Resolution == p.resolution && snap.ServiceHist.OK() {
 		s, err = dist.FromCounts(p.resolution, snap.ServiceHist.Bins, snap.ServiceHist.Counts)
 	} else {
@@ -255,6 +295,12 @@ func (p *Predictor) inputPMFs(snap repository.ReplicaSnapshot) (s, w *dist.PMF, 
 // the snapshot has no history (the scheduler's cold-start rule selects all
 // replicas instead of predicting).
 func (p *Predictor) ResponsePMF(snap repository.ReplicaSnapshot) (*dist.PMF, error) {
+	return p.responsePMF(&snap)
+}
+
+// responsePMF is ResponsePMF on a borrowed snapshot: the decision path passes
+// snapshots by pointer, since each is a few hundred bytes.
+func (p *Predictor) responsePMF(snap *repository.ReplicaSnapshot) (*dist.PMF, error) {
 	if !snap.HasHistory {
 		return nil, fmt.Errorf("model: replica %q has no performance history", snap.ID)
 	}
@@ -305,7 +351,7 @@ func (p *Predictor) convolve(s, w *dist.PMF) (*dist.PMF, error) {
 
 // waitPMF returns the queuing-delay pmf: the paper's empirical window pmf,
 // or the queue-length-aware variant when configured.
-func (p *Predictor) waitPMF(snap repository.ReplicaSnapshot, service *dist.PMF) (*dist.PMF, error) {
+func (p *Predictor) waitPMF(snap *repository.ReplicaSnapshot, service *dist.PMF) (*dist.PMF, error) {
 	if !p.queueAware {
 		if !p.referenceOnly && snap.Resolution == p.resolution && snap.QueueHist.OK() {
 			w, err := dist.FromCounts(p.resolution, snap.QueueHist.Bins, snap.QueueHist.Counts)
@@ -365,69 +411,90 @@ func (p *Predictor) bound(pmf *dist.PMF) *dist.PMF {
 
 // buildSW computes the support-bounded S+W distribution for a fast-eligible
 // snapshot — S+W+T when T is distributional — and returns it as a CDF table.
-func (p *Predictor) buildSW(snap repository.ReplicaSnapshot) (*cachedCDF, error) {
+// With a point-mass T and no bounding to do, the table is convolved straight
+// from the histogram counts in recycled scratch; rebinning and a
+// distributional T take the general route through pmfs, which yields the
+// same bits where both apply.
+func (p *Predictor) buildSW(snap *repository.ReplicaSnapshot) (cachedCDF, error) {
+	if !distributionalT(snap) {
+		sc := p.getScratch()
+		bins, cdf, ok := dist.ConvolveCountsCDF(snap.ServiceHist.Bins, snap.ServiceHist.Counts,
+			snap.QueueHist.Bins, snap.QueueHist.Counts, p.maxSupport, sc)
+		p.putScratch(sc)
+		if ok {
+			return cachedCDF{res: p.resolution, bins: bins, cdf: cdf}, nil
+		}
+	}
+	return p.buildSWGeneral(snap)
+}
+
+// buildSWGeneral is buildSW's route through pmfs: bounded, aligned, densely
+// convolved, with a distributional T convolved as the third factor.
+func (p *Predictor) buildSWGeneral(snap *repository.ReplicaSnapshot) (cachedCDF, error) {
 	s, w, err := p.inputPMFs(snap)
 	if err != nil {
-		return nil, err
+		return cachedCDF{}, err
 	}
 	s, w = p.bound(s), p.bound(w)
 	s, w, err = align(s, w)
 	if err != nil {
-		return nil, fmt.Errorf("model: aligning S and W for %q: %w", snap.ID, err)
+		return cachedCDF{}, fmt.Errorf("model: aligning S and W for %q: %w", snap.ID, err)
 	}
 	sw, err := s.ConvolveDense(w)
 	if err != nil {
-		return nil, fmt.Errorf("model: convolving S and W for %q: %w", snap.ID, err)
+		return cachedCDF{}, fmt.Errorf("model: convolving S and W for %q: %w", snap.ID, err)
 	}
 	sw = p.bound(sw)
 	if distributionalT(snap) {
 		tp, err := p.gatewayPMF(snap)
 		if err != nil {
-			return nil, err
+			return cachedCDF{}, err
 		}
 		sw, tp, err = align(sw, p.bound(tp))
 		if err != nil {
-			return nil, fmt.Errorf("model: aligning S+W and T for %q: %w", snap.ID, err)
+			return cachedCDF{}, fmt.Errorf("model: aligning S+W and T for %q: %w", snap.ID, err)
 		}
 		sw, err = sw.ConvolveDense(tp)
 		if err != nil {
-			return nil, fmt.Errorf("model: convolving S+W and T for %q: %w", snap.ID, err)
+			return cachedCDF{}, fmt.Errorf("model: convolving S+W and T for %q: %w", snap.ID, err)
 		}
 		sw = p.bound(sw)
 	}
 	bins, cdf := sw.CDFTable()
-	return &cachedCDF{res: sw.Resolution(), bins: bins, cdf: cdf}, nil
+	return cachedCDF{res: sw.Resolution(), bins: bins, cdf: cdf}, nil
 }
 
 // fastProbability evaluates F_Ri(t) via the memoized CDF table. ok is false
 // when the snapshot is not fast-eligible; the caller then takes the
 // reference route.
-func (p *Predictor) fastProbability(snap repository.ReplicaSnapshot, t time.Duration) (v float64, ok bool, err error) {
+func (p *Predictor) fastProbability(snap *repository.ReplicaSnapshot, t time.Duration) (v float64, ok bool, err error) {
 	if !p.fastEligible(snap) {
 		return 0, false, nil
 	}
 	if p.cacheOff {
 		return p.uncachedFastProbability(snap, t)
 	}
-	key := cacheKey{replica: snap.ID, method: snap.Method, sVer: snap.ServiceHist.Version, wVer: snap.QueueHist.Version}
+	slot := slotKey{replica: snap.ID, method: snap.Method}
+	key := tableKey{sVer: snap.ServiceHist.Version, wVer: snap.QueueHist.Version}
 	dT := distributionalT(snap)
 	if dT {
 		key.tVer = snap.GatewayHist.Version
 	}
-	sh := p.shardFor(key)
+	sh := p.shardFor(snap.ID)
 	sh.mu.RLock()
-	entry := sh.m[key]
+	memo, hit := sh.m[slot]
 	sh.mu.RUnlock()
-	if entry == nil {
+	entry := memo.table
+	if !hit || memo.key != key {
 		entry, err = p.buildSW(snap)
 		if err != nil {
 			return 0, false, err
 		}
 		sh.mu.Lock()
-		if len(sh.m) >= maxCacheEntries/cacheShardCount {
-			sh.m = make(map[cacheKey]*cachedCDF)
+		if _, exists := sh.m[slot]; !exists && len(sh.m) >= maxCacheEntries/cacheShardCount {
+			sh.m = make(map[slotKey]memoSlot)
 		}
-		sh.m[key] = entry
+		sh.m[slot] = memoSlot{key: key, table: entry}
 		sh.mu.Unlock()
 	}
 	if t < 0 {
@@ -448,7 +515,7 @@ func (p *Predictor) fastProbability(snap repository.ReplicaSnapshot, t time.Dura
 // materializing the S+W product. Only safe when the product's support could
 // not have exceeded maxSupport (otherwise the reference path would rebin,
 // and results would diverge); wider products fall back.
-func (p *Predictor) uncachedFastProbability(snap repository.ReplicaSnapshot, t time.Duration) (v float64, ok bool, err error) {
+func (p *Predictor) uncachedFastProbability(snap *repository.ReplicaSnapshot, t time.Duration) (v float64, ok bool, err error) {
 	if distributionalT(snap) {
 		// Three factors need a materialized intermediate anyway; take the
 		// ResponsePMF route (still histogram pmfs + dense convolution).
@@ -486,12 +553,16 @@ func (p *Predictor) uncachedFastProbability(snap repository.ReplicaSnapshot, t t
 // Probability computes F_Ri(t): the probability that replica i responds
 // within t. Callers compensating for scheduler overhead pass t − δ (§5.3.3).
 func (p *Predictor) Probability(snap repository.ReplicaSnapshot, t time.Duration) (float64, error) {
+	return p.probability(&snap, t)
+}
+
+func (p *Predictor) probability(snap *repository.ReplicaSnapshot, t time.Duration) (float64, error) {
 	if v, ok, err := p.fastProbability(snap, t); err != nil {
 		return 0, err
 	} else if ok {
 		return v, nil
 	}
-	pmf, err := p.ResponsePMF(snap)
+	pmf, err := p.responsePMF(snap)
 	if err != nil {
 		return 0, err
 	}
@@ -518,16 +589,17 @@ func (p *Predictor) ProbabilityTable(snaps []repository.ReplicaSnapshot, t time.
 // recycles its buffers pays no allocation once they have grown to capacity —
 // the scheduler's per-decision fast path.
 func (p *Predictor) ProbabilityTableInto(snaps []repository.ReplicaSnapshot, t time.Duration, table []ReplicaProbability, cold []repository.ReplicaSnapshot) ([]ReplicaProbability, []repository.ReplicaSnapshot, error) {
-	for _, s := range snaps {
+	for i := range snaps {
+		s := &snaps[i]
 		if !s.HasHistory {
-			cold = append(cold, s)
+			cold = append(cold, *s)
 			continue
 		}
-		prob, perr := p.Probability(s, t)
+		prob, perr := p.probability(s, t)
 		if perr != nil {
 			return nil, nil, perr
 		}
-		table = append(table, ReplicaProbability{Snapshot: s, Probability: prob})
+		table = append(table, ReplicaProbability{Snapshot: *s, Probability: prob})
 	}
 	return table, cold, nil
 }

@@ -13,6 +13,7 @@ package repository
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -93,6 +94,7 @@ type Repository struct {
 	resolution   time.Duration // histogram quantization; 0 disables incremental histograms
 	entries      map[methodKey]*entry
 	replicas     map[wire.ReplicaID]*replicaState
+	ids          []wire.ReplicaID          // keys of replicas, sorted; rebuilt on membership change
 	updatesByRep map[wire.ReplicaID]uint64 // count of perf reports absorbed, per replica
 	// Lifecycle mode (lifecycle.go): health tracking, probation-on-join
 	// after the bootstrap view, and probation promotion thresholds.
@@ -114,7 +116,7 @@ type Repository struct {
 	// gen is unchanged. Guarded by snapMu (never held together with mu on
 	// the write side; snapshotLocked reads gen under mu's read lock).
 	snapMu    sync.Mutex
-	snapCache map[string]*snapCacheEntry
+	snapCache map[string]snapCacheEntry
 }
 
 // snapCacheEntry is one memoized shared snapshot.
@@ -159,7 +161,7 @@ func New(opts ...Option) *Repository {
 		entries:      make(map[methodKey]*entry),
 		replicas:     make(map[wire.ReplicaID]*replicaState),
 		updatesByRep: make(map[wire.ReplicaID]uint64),
-		snapCache:    make(map[string]*snapCacheEntry),
+		snapCache:    make(map[string]snapCacheEntry),
 	}
 	for _, o := range opts {
 		o(r)
@@ -197,6 +199,7 @@ func (r *Repository) AddReplica(id wire.ReplicaID) {
 	defer r.mu.Unlock()
 	if _, ok := r.replicas[id]; !ok {
 		r.replicas[id] = r.newReplicaStateLocked()
+		r.sortIDsLocked()
 		r.gen.Add(1)
 	}
 }
@@ -210,6 +213,7 @@ func (r *Repository) RemoveReplica(id wire.ReplicaID) {
 	defer r.mu.Unlock()
 	delete(r.replicas, id)
 	r.dropEntriesLocked(id)
+	r.sortIDsLocked()
 	r.gen.Add(1)
 }
 
@@ -240,7 +244,18 @@ func (r *Repository) SetMembership(ids []wire.ReplicaID) {
 		// probation when the lifecycle is enabled.
 		r.bootstrapped = true
 	}
+	r.sortIDsLocked()
 	r.gen.Add(1)
+}
+
+// sortIDsLocked rebuilds the sorted ID list after the replica set changed,
+// so snapshots come out in ID order without a sort per snapshot.
+func (r *Repository) sortIDsLocked() {
+	r.ids = r.ids[:0]
+	for id := range r.replicas {
+		r.ids = append(r.ids, id)
+	}
+	slices.Sort(r.ids)
 }
 
 // Replicas returns the registered replica IDs in deterministic (sorted)
@@ -248,12 +263,7 @@ func (r *Repository) SetMembership(ids []wire.ReplicaID) {
 func (r *Repository) Replicas() []wire.ReplicaID {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	ids := make([]wire.ReplicaID, 0, len(r.replicas))
-	for id := range r.replicas {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return append(make([]wire.ReplicaID, 0, len(r.ids)), r.ids...)
 }
 
 // Len returns the number of registered replicas.
@@ -503,6 +513,8 @@ type ReplicaSnapshot struct {
 	// delay sample exist; the scheduler must fall back to selecting all
 	// replicas (the paper's cold-start rule, §5.4.1).
 	HasHistory bool
+
+	versions windowVersions // what the window-derived fields were copied from
 }
 
 // Snapshot returns prediction-ready copies for all registered replicas for
@@ -510,61 +522,92 @@ type ReplicaSnapshot struct {
 // fresh slices the caller may retain and mutate; the scheduler's hot path
 // uses SnapshotShared instead.
 func (r *Repository) Snapshot(method string) []ReplicaSnapshot {
-	snaps, _ := r.snapshot(method)
+	snaps, _ := r.snapshot(method, nil)
 	return snaps
 }
 
 // SnapshotShared returns the same prediction-ready view as Snapshot but
 // memoized per method: while no snapshot-content mutation has occurred
 // (generation unchanged), repeat calls return the identical shared slice with
-// zero allocation. The returned slice and everything it references are shared
-// and MUST be treated as immutable; a caller that needs to mutate (e.g. the
-// scheduler's staleness re-probe) must copy first. InFlight values in a
-// shared snapshot are as of the last generation bump — dispatch/settle
-// accounting alone does not invalidate the cache (see NoteDispatched).
+// zero allocation. After a mutation the new slice re-copies only the
+// replicas whose windows changed: every other entry keeps the previous
+// shared slice's window slices. The returned slice and everything it
+// references are shared and MUST be treated as immutable; a caller that needs
+// to mutate (e.g. the scheduler's staleness re-probe) must copy first.
+// InFlight values in a shared snapshot are as of the last generation bump —
+// dispatch/settle accounting alone does not invalidate the cache (see
+// NoteDispatched).
 func (r *Repository) SnapshotShared(method string) []ReplicaSnapshot {
 	g := r.gen.Load()
 	r.snapMu.Lock()
-	if e, ok := r.snapCache[method]; ok && e.gen == g {
-		snaps := e.snaps
-		r.snapMu.Unlock()
-		return snaps
-	}
+	prev := r.snapCache[method]
 	r.snapMu.Unlock()
+	if prev.snaps != nil && prev.gen == g {
+		return prev.snaps
+	}
 
 	// Build outside snapMu so concurrent readers of other methods (or cache
 	// hits) are not blocked behind the copy. gen is re-read under the
 	// repository read lock, so the cached entry is stamped with a generation
-	// consistent with its content.
-	snaps, built := r.snapshot(method)
+	// consistent with its content. prev is immutable, so reading its window
+	// slices unlocked is safe.
+	snaps, built := r.snapshot(method, prev.snaps)
 	r.snapMu.Lock()
 	if e, ok := r.snapCache[method]; !ok || e.gen < built {
-		r.snapCache[method] = &snapCacheEntry{gen: built, snaps: snaps}
+		r.snapCache[method] = snapCacheEntry{gen: built, snaps: snaps}
 	}
 	r.snapMu.Unlock()
 	return snaps
 }
 
-// snapshot builds a fresh snapshot slice and reports the generation it is
-// consistent with (gen is only bumped under the write lock).
-func (r *Repository) snapshot(method string) ([]ReplicaSnapshot, uint64) {
+// snapshot builds a snapshot slice and reports the generation it is
+// consistent with (gen is only bumped under the write lock). prev, when
+// non-nil, is an earlier shared snapshot sorted by ID: a replica whose
+// windows are unchanged since then reuses its window slices.
+func (r *Repository) snapshot(method string, prev []ReplicaSnapshot) ([]ReplicaSnapshot, uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	g := r.gen.Load()
-	out := make([]ReplicaSnapshot, 0, len(r.replicas))
-	for id, st := range r.replicas {
-		out = append(out, r.snapshotReplicaLocked(id, st, method))
+	out := make([]ReplicaSnapshot, len(r.ids))
+	for i, id := range r.ids {
+		// Without a membership change, prev holds the same IDs in the same
+		// order; otherwise find the replica by binary search.
+		j := i
+		if j >= len(prev) || prev[j].ID != id {
+			j = sort.Search(len(prev), func(k int) bool { return prev[k].ID >= id })
+		}
+		var old *ReplicaSnapshot
+		if j < len(prev) && prev[j].ID == id {
+			old = &prev[j]
+		}
+		out[i] = r.snapshotReplicaLocked(id, r.replicas[id], method, old)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, g
+}
+
+// windowVersions identifies the window contents a snapshot's slices were
+// copied from: the versions of the T window in use and of the method's local
+// and borrowed S and W windows (0 when absent). Window versions are globally
+// unique and bumped on every mutation, so equal keys mean equal contents.
+type windowVersions struct {
+	gateway, service, queue, borrowedService, borrowedQueue uint64
+}
+
+func versionOf(w *window.Window) uint64 {
+	if w == nil {
+		return 0
+	}
+	return w.Version()
 }
 
 // snapshotReplicaLocked builds one replica's prediction-ready copy. The T
 // fields come from the per-replica (per-link) window, independently of
 // whether the method has an entry yet: a probe- or cross-method-measured
-// gateway delay is visible to every method's prediction. Caller holds r.mu
-// (read or write).
-func (r *Repository) snapshotReplicaLocked(id wire.ReplicaID, st *replicaState, method string) ReplicaSnapshot {
+// gateway delay is visible to every method's prediction. The scalar fields
+// are always read afresh; the window-derived fields are taken from prev when
+// it was built from the same window versions, and otherwise copied into one
+// buffer per element type. Caller holds r.mu (read or write).
+func (r *Repository) snapshotReplicaLocked(id wire.ReplicaID, st *replicaState, method string, prev *ReplicaSnapshot) ReplicaSnapshot {
 	snap := ReplicaSnapshot{
 		ID:          id,
 		Method:      method,
@@ -574,6 +617,7 @@ func (r *Repository) snapshotReplicaLocked(id wire.ReplicaID, st *replicaState, 
 		Health:      st.health,
 		CaughtUp:    st.caughtUp,
 		OrderedTail: st.orderedTail,
+		Resolution:  r.resolution,
 	}
 	if st.borrowedUpdate.After(snap.LastUpdate) {
 		// A peer vouched for this replica more recently than our own traffic:
@@ -581,74 +625,107 @@ func (r *Repository) snapshotReplicaLocked(id wire.ReplicaID, st *replicaState, 
 		// across the fleet rather than duplicated per gateway.
 		snap.LastUpdate = st.borrowedUpdate
 	}
-	if r.resolution > 0 {
-		snap.Resolution = r.resolution
-	}
 	gw := st.gateway
 	if gw.Len() == 0 && st.borrowedGateway != nil && st.borrowedGateway.Len() > 0 {
 		gw = st.borrowedGateway // cold-start T seed, displaced by the first local delay
 	}
-	if td, ok := gw.Last(); ok {
-		snap.GatewayDelay = td
-		snap.GatewayDelays = gw.Values()
-		if r.resolution > 0 {
-			if bins, counts, ok := gw.HistCounts(); ok {
-				snap.GatewayHist = HistView{Bins: bins, Counts: counts, Version: gw.Version()}
+	e := r.entries[methodKey{replica: id, method: method}]
+	snap.versions = windowVersions{gateway: gw.Version()}
+	if e != nil {
+		snap.versions.service = e.service.Version()
+		snap.versions.queue = e.queue.Version()
+		snap.versions.borrowedService = versionOf(e.borrowedService)
+		snap.versions.borrowedQueue = versionOf(e.borrowedQueue)
+	}
+	if prev != nil && prev.versions == snap.versions {
+		snap.GatewayDelay, snap.GatewayDelays, snap.GatewayHist = prev.GatewayDelay, prev.GatewayDelays, prev.GatewayHist
+		snap.ServiceTimes, snap.QueueDelays = prev.ServiceTimes, prev.QueueDelays
+		snap.ServiceHist, snap.QueueHist = prev.ServiceHist, prev.QueueHist
+		snap.HasHistory = prev.HasHistory
+		return snap
+	}
+
+	// One buffer per element type, sized for every window this snapshot
+	// copies; each field is a capped sub-slice, so an append by a Snapshot
+	// caller reallocates instead of overwriting its neighbour.
+	td, hasT := gw.Last()
+	nVals, nBins := 0, 0
+	if hasT {
+		nVals, nBins = gw.Len(), histLen(gw)
+	}
+	if e != nil {
+		for _, w := range []*window.Window{e.borrowedService, e.service, e.borrowedQueue, e.queue} {
+			if w != nil {
+				nVals += w.Len()
+				nBins += histLen(w)
 			}
 		}
 	}
-	if e, ok := r.entries[methodKey{replica: id, method: method}]; ok {
-		snap.ServiceTimes = mergedValues(e.borrowedService, e.service)
-		snap.QueueDelays = mergedValues(e.borrowedQueue, e.queue)
+	var vals []time.Duration
+	var bins []int64
+	var counts []int
+	if nVals > 0 {
+		vals = make([]time.Duration, 0, nVals)
+	}
+	if r.resolution > 0 && nBins > 0 {
+		bins, counts = make([]int64, 0, nBins), make([]int, 0, nBins)
+	}
+	if hasT {
+		snap.GatewayDelay = td
+		snap.GatewayDelays, vals = appendValues(vals, nil, gw)
 		if r.resolution > 0 {
-			snap.ServiceHist = mergedHistView(e.borrowedService, e.service)
-			snap.QueueHist = mergedHistView(e.borrowedQueue, e.queue)
+			snap.GatewayHist, bins, counts = appendHist(bins, counts, nil, gw)
+		}
+	}
+	if e != nil {
+		snap.ServiceTimes, vals = appendValues(vals, e.borrowedService, e.service)
+		snap.QueueDelays, vals = appendValues(vals, e.borrowedQueue, e.queue)
+		if r.resolution > 0 {
+			snap.ServiceHist, bins, counts = appendHist(bins, counts, e.borrowedService, e.service)
+			snap.QueueHist, bins, counts = appendHist(bins, counts, e.borrowedQueue, e.queue)
 		}
 		snap.HasHistory = len(snap.ServiceTimes) > 0 && len(snap.QueueDelays) > 0
 	}
 	return snap
 }
 
-// mergedValues concatenates borrowed (older, possibly nil) and local samples,
-// oldest → newest.
-func mergedValues(borrowed, local *window.Window) []time.Duration {
-	if borrowed == nil || borrowed.Len() == 0 {
-		return local.Values()
-	}
-	out := make([]time.Duration, 0, borrowed.Len()+local.Len())
-	out = append(out, borrowed.Values()...)
-	return append(out, local.Values()...)
+func histLen(w *window.Window) int {
+	b, _ := w.Hist()
+	return len(b)
 }
 
-// mergedHistView returns the union histogram of a borrowed (possibly nil) and
-// a local window. Its version is the max of the two windows' versions: window
-// versions come from one global monotonic counter, so any mutation of either
-// window issues a version above every previously observed max — merged views
-// stay sound as memoization keys without a dedicated counter.
-func mergedHistView(borrowed, local *window.Window) HistView {
-	lBins, lCounts, lok := local.HistCounts()
-	if borrowed == nil || borrowed.Len() == 0 {
-		if !lok {
-			return HistView{}
-		}
-		return HistView{Bins: lBins, Counts: lCounts, Version: local.Version()}
+// appendValues appends borrowed (older, possibly nil) then local samples,
+// oldest → newest, to buf and returns them as a capped sub-slice alongside
+// the extended buffer.
+func appendValues(buf []time.Duration, borrowed, local *window.Window) (field, rest []time.Duration) {
+	start := len(buf)
+	if borrowed != nil {
+		buf = borrowed.AppendValues(buf)
 	}
-	bBins, bCounts, bok := borrowed.HistCounts()
+	buf = local.AppendValues(buf)
+	return buf[start:len(buf):len(buf)], buf
+}
+
+// appendHist appends the union histogram of a borrowed (possibly nil) and a
+// local window to the bin and count buffers and returns it as a view over
+// capped sub-slices. Its version is the max of the two windows' versions:
+// window versions come from one global monotonic counter, so any mutation of
+// either window issues a version above every previously observed max — merged
+// views stay sound as memoization keys without a dedicated counter. The view
+// is empty when neither window holds a histogram.
+func appendHist(bins []int64, counts []int, borrowed, local *window.Window) (HistView, []int64, []int) {
+	lBins, lCounts := local.Hist()
 	ver := local.Version()
-	if bv := borrowed.Version(); bv > ver {
-		ver = bv
+	var bBins []int64
+	var bCounts []int
+	if borrowed != nil && borrowed.Len() > 0 {
+		bBins, bCounts = borrowed.Hist()
+		ver = max(ver, borrowed.Version())
 	}
-	if !bok {
-		if !lok {
-			return HistView{}
-		}
-		return HistView{Bins: lBins, Counts: lCounts, Version: ver}
+	if len(lBins) == 0 && len(bBins) == 0 {
+		return HistView{}, bins, counts
 	}
-	if !lok {
-		return HistView{Bins: bBins, Counts: bCounts, Version: ver}
-	}
-	bins := make([]int64, 0, len(bBins)+len(lBins))
-	counts := make([]int, 0, len(bCounts)+len(lCounts))
+	start := len(bins)
 	i, j := 0, 0
 	for i < len(bBins) || j < len(lBins) {
 		switch {
@@ -667,7 +744,8 @@ func mergedHistView(borrowed, local *window.Window) HistView {
 			j++
 		}
 	}
-	return HistView{Bins: bins, Counts: counts, Version: ver}
+	end := len(bins)
+	return HistView{Bins: bins[start:end:end], Counts: counts[start:end:end], Version: ver}, bins, counts
 }
 
 // SnapshotOne returns the snapshot for a single replica. It builds just that
@@ -680,5 +758,5 @@ func (r *Repository) SnapshotOne(id wire.ReplicaID, method string) (ReplicaSnaps
 	if !ok {
 		return ReplicaSnapshot{}, fmt.Errorf("repository: unknown replica %q", id)
 	}
-	return r.snapshotReplicaLocked(id, st, method), nil
+	return r.snapshotReplicaLocked(id, st, method, nil), nil
 }

@@ -167,14 +167,28 @@ func (w *Window) HistCounts() (bins []int64, counts []int, ok bool) {
 	return bins, counts, true
 }
 
+// Hist returns the incremental histogram without copying it: the window's own
+// bin and count slices, empty when the window keeps no histogram or is empty.
+// They are valid only until the next mutation and must not be modified;
+// callers that keep them copy first (HistCounts, or an append into their own
+// buffer).
+func (w *Window) Hist() (bins []int64, counts []int) {
+	return w.bins, w.binCounts
+}
+
 // Values returns the retained samples ordered oldest to newest. The returned
 // slice is freshly allocated; callers may keep it.
 func (w *Window) Values() []time.Duration {
-	out := make([]time.Duration, 0, len(w.buf))
+	return w.AppendValues(make([]time.Duration, 0, len(w.buf)))
+}
+
+// AppendValues appends the retained samples, oldest to newest, to dst and
+// returns the extended slice.
+func (w *Window) AppendValues(dst []time.Duration) []time.Duration {
 	for i := 0; i < len(w.buf); i++ {
-		out = append(out, w.buf[(w.head+i)%cap(w.buf)])
+		dst = append(dst, w.buf[(w.head+i)%cap(w.buf)])
 	}
-	return out
+	return dst
 }
 
 // Last returns the most recent sample. ok is false if the window is empty.
